@@ -24,13 +24,7 @@ import os
 import sys
 
 from .errors import DeadEnd, DsvsError, LexiconMiss, ParseError, ValidationError
-from .interpret import (
-    STRATEGIES,
-    compile_root,
-    disambiguate,
-    expect,
-    score_candidate,
-)
+from .interpret import STRATEGIES, disambiguate, expect
 from .lexicon import (
     BOTTOM,
     TOP,
@@ -46,7 +40,7 @@ from .lexicon import (
 from .parser import canonical_view, initial_state, parse_word
 from .parser import render as render_tree
 from .semtypes import SpaceMap, parse_type
-from .tensor import Signature, Space, Tensor, TensorTuple
+from .tensor import Signature, Space, Tensor
 
 ENV_LEXICON = "DSVS_LEXICON"
 
@@ -103,17 +97,9 @@ def _need_lexicon(arg) -> Lexicon:
     return load_lexicon(path)
 
 
-def _fmt_vector(tensor: Tensor) -> str:
-    return "(" + ", ".join(str(x) for x in tensor.tolist()) + ")"
-
-
-def _root_line(candidate, lexicon, strategy) -> str:
-    value = compile_root(candidate.tree, lexicon, strategy)
-    if isinstance(value, TensorTuple):
-        value = value.collapse()
-    score = score_candidate(candidate, lexicon, strategy)
+def _root_line(score, lexicon) -> str:
     name = lexicon.space_map.sentence.name
-    return f"root {name} = {_fmt_vector(value)}  ratio = {score.ratio:.4f}"
+    return f"root {name} = ({score.top}, {score.bottom})  ratio = {score.ratio:.4f}"
 
 
 def _tree_json(tree) -> dict:
@@ -138,15 +124,12 @@ def _tree_json(tree) -> dict:
     return node_obj(tree.root)
 
 
-def _candidate_json(rank, candidate, score, lexicon, strategy) -> dict:
-    value = compile_root(candidate.tree, lexicon, strategy)
-    if isinstance(value, TensorTuple):
-        value = value.collapse()
+def _candidate_json(rank, candidate, score) -> dict:
     return {
         "rank": rank,
         "senses": list(candidate.senses),
         "complete": candidate.tree.is_complete(),
-        "root": value.tolist(),
+        "root": [score.top, score.bottom],
         "score": {"top": score.top, "bottom": score.bottom, "ratio": score.ratio},
         "tree": _tree_json(canonical_view(candidate.tree)),
     }
@@ -174,7 +157,7 @@ def _cmd_parse(args) -> int:
             "words": list(words),
             "strategy": args.strategy,
             "candidates": [
-                _candidate_json(k + 1, c, s, lexicon, args.strategy)
+                _candidate_json(k + 1, c, s)
                 for k, (c, s) in enumerate(final_ranked)
             ],
         }
@@ -202,10 +185,10 @@ def _cmd_parse(args) -> int:
             print(render_tree(canonical_view(ranked[0][0].tree)))
             print()
 
-    best, _ = final_ranked[0]
+    best, score = final_ranked[0]
     if not args.trace:
         print(render_tree(canonical_view(best.tree)))
-    print(_root_line(best, lexicon, args.strategy))
+    print(_root_line(score, lexicon))
     return 0
 
 
@@ -216,14 +199,8 @@ def _cmd_disambiguate(args) -> int:
     for word in words:
         state = parse_word(state, word, lexicon)
     ranked = disambiguate(state, lexicon, args.strategy)
-    name = lexicon.space_map.sentence.name
     for k, (cand, score) in enumerate(ranked, start=1):
-        value = compile_root(cand.tree, lexicon, args.strategy)
-        if isinstance(value, TensorTuple):
-            value = value.collapse()
-        senses = " ".join(cand.senses)
-        print(f"{k}. {senses}  root {name} = {_fmt_vector(value)}  "
-              f"ratio = {score.ratio:.4f}")
+        print(f"{k}. {' '.join(cand.senses)}  {_root_line(score, lexicon)}")
     return 0
 
 

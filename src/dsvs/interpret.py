@@ -29,21 +29,14 @@ from dataclasses import dataclass
 
 from .errors import NoInhabitants, SignatureMismatch
 from .lexicon import Lexicon
-from .parser import (
-    ParseState,
-    Tree,
-    _link_finished,
-    _links_in_clause,
-    advance_with_sense,
-)
-from .semtypes import E, T, application_slot, signature_of
+from .parser import ParseState, Tree, advance_with_sense, evaluate
+from .semtypes import E, application_slot, signature_of
 from .tensor import (
     Signature,
     Tensor,
     TensorTuple,
     contract,
     direct_sum,
-    mu,
     sum_tensors,
     unit_tensor,
 )
@@ -91,56 +84,21 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
     return direct_sum(tensors)
 
 
-def _components(value):
-    if isinstance(value, TensorTuple):
-        return value.components, True
-    return (value,), False
-
-
-def _apply_value(f_value, f_type, a_value):
-    slot = application_slot(f_type)
-    fs, f_tup = _components(f_value)
-    as_, a_tup = _components(a_value)
-    out = [contract(f, a, [(slot, 0)]) for f in fs for a in as_]
-    if f_tup or a_tup:
-        return TensorTuple(tuple(out))
-    return out[0]
-
-
-def _mu_value(x, y):
-    xs, x_tup = _components(x)
-    ys, y_tup = _components(y)
-    out = [mu(a, b) for a in xs for b in ys]
-    if x_tup or y_tup:
-        return TensorTuple(tuple(out))
-    return out[0]
-
-
 def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     """Root value of a tree, unmet requirements filled by strategy.
 
-    Recomputes every internal node from its daughters instead of trusting
-    stored formulae, so on a finished tree this reproduces the stored root
-    exactly.  Finished adjunct trees fold into their clause's proposition
-    node entrywise; unfinished adjuncts do not contribute.
+    One evaluate pass recomputes every internal node from its daughters
+    instead of trusting stored formulae, so on a finished tree this
+    reproduces the stored root exactly.  Finished adjunct trees fold into
+    their clause's proposition node entrywise; unfinished adjuncts do not
+    contribute.
     """
 
-    def value(i: int):
-        n = tree.nodes[i]
-        if n.argument is not None and n.functor is not None:
-            f_node = tree.nodes[n.functor]
-            v = _apply_value(value(n.functor), f_node.sem_type, value(n.argument))
-            if n.sem_type == T:
-                for link_root in _links_in_clause(tree, i):
-                    if _link_finished(tree, link_root):
-                        v = _mu_value(v, value(link_root))
-            return v
-        if n.formula is not None and not n.requirement:
-            return n.formula
-        sig = signature_of(n.sem_type, lexicon.space_map)
+    def stand_in(node):
+        sig = signature_of(node.sem_type, lexicon.space_map)
         return underspec_tensor(sig, strategy, lexicon)
 
-    return value(tree.root)
+    return evaluate(tree, stand_in)[tree.root]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ grows argument and functor daughters, and any node whose daughters both
 carry formulae receives the contraction of functor against argument.  At
 proposition nodes the contraction is additionally multiplied entrywise
 with the root formula of every finished adjunct tree in the clause.
+That rule lives in evaluate, which interpret also uses to value
+unfinished trees with stand-ins at their unmet requirements.
 
 The pointer marks where the next word may act.  It can travel up from a
 finished node to its mother (also crossing from a finished adjunct root
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace as _dc_replace
 from .errors import DeadEnd, LexiconMiss, LinkUnavailable
 from .lexicon import Lexicon, Sense
 from .semtypes import E, SemType, T, application_slot, fn
-from .tensor import Tensor, contract, mu
+from .tensor import Tensor, TensorTuple, contract, mu
 
 ET = fn(E, T)
 
@@ -105,31 +107,6 @@ def _has_requirement(tree: Tree, top: int) -> bool:
     return False
 
 
-def _links_in_clause(tree: Tree, top: int) -> list[int]:
-    """Adjunct roots hanging anywhere in the application subtree of top.
-
-    Does not cross into the adjuncts themselves; links nested inside an
-    adjunct belong to that adjunct's own clause.
-    """
-    found: list[int] = []
-
-    def visit(i: int):
-        n = tree.nodes[i]
-        if n.link is not None:
-            found.append(n.link)
-        for c in (n.argument, n.functor):
-            if c is not None:
-                visit(c)
-
-    visit(top)
-    return found
-
-
-def _link_finished(tree: Tree, link_root: int) -> bool:
-    lr = tree.nodes[link_root]
-    return lr.formula is not None and not _has_requirement(tree, link_root)
-
-
 def _first_requirement_leaf(tree: Tree) -> int | None:
     def visit(i: int) -> int | None:
         n = tree.nodes[i]
@@ -146,11 +123,94 @@ def _first_requirement_leaf(tree: Tree) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# saturation
+# evaluation and saturation
 
 
-def _saturate_step(tree: Tree) -> Tree:
-    # growth: a pointed bare proposition requirement sprouts daughters
+def _pairwise(op, x, y):
+    """op on two values, either of which may be a TensorTuple.
+
+    A tuple operand makes the result a tuple holding op of every pair of
+    components, left operand outermost.
+    """
+    xs = x.components if isinstance(x, TensorTuple) else (x,)
+    ys = y.components if isinstance(y, TensorTuple) else (y,)
+    out = [op(a, b) for a in xs for b in ys]
+    if isinstance(x, TensorTuple) or isinstance(y, TensorTuple):
+        return TensorTuple(tuple(out))
+    return out[0]
+
+
+def evaluate(tree: Tree, stand_in=None) -> list:
+    """Value of every node, computed bottom-up in one pass.
+
+    A filled leaf is valued by its formula, an unmet requirement leaf by
+    stand_in(node), or None when there is no stand_in.  A node whose
+    daughters both have values gets its functor contracted against its
+    argument at the functor's application slot.  At a proposition node
+    that value is then multiplied entrywise with the root value of every
+    finished adjunct in the clause, in this order: the node's own adjunct,
+    then those in its argument subtree, then those in its functor subtree.
+    Any other node is valued None.
+
+    Adjunct trees never take stand-ins: only a finished adjunct (no unmet
+    requirement anywhere in it) contributes, and that one needs none.
+    TensorTuple values (direct_sum stand-ins) combine pairwise, so a tuple
+    anywhere in the clause makes the root value a tuple.
+
+    Returns the values as a list indexed by node id.
+    """
+    values: list = [None] * len(tree.nodes)
+    _evaluate_subtree(tree.nodes, values, tree.root, stand_in)
+    return values
+
+
+def _evaluate_subtree(nodes, values: list, i: int, fill) -> tuple[bool, list[int]]:
+    """Fill values for node i's subtree; return whether the subtree is
+    finished and the roots of the finished adjuncts hanging in its clause.
+
+    A module-level function, not a closure: a recursive closure over
+    values would form a reference cycle and keep every value alive until
+    the cycle collector runs.
+    """
+    n = nodes[i]
+    finished = True
+    folds: list[int] = []
+    if n.link is not None:
+        if _evaluate_subtree(nodes, values, n.link, None)[0]:
+            folds.append(n.link)
+        else:
+            finished = False
+    if n.is_leaf:
+        if n.complete:
+            values[i] = n.formula
+        else:
+            finished = False
+            if fill is not None:
+                values[i] = fill(n)
+        return finished, folds
+    arg_finished, arg_folds = _evaluate_subtree(nodes, values, n.argument, fill)
+    fun_finished, fun_folds = _evaluate_subtree(nodes, values, n.functor, fill)
+    folds += arg_folds + fun_folds
+    f, a = values[n.functor], values[n.argument]
+    if f is not None and a is not None:
+        pairs = [(application_slot(nodes[n.functor].sem_type), 0)]
+        v = _pairwise(lambda x, y: contract(x, y, pairs), f, a)
+        if n.sem_type == T:
+            for j in folds:
+                v = _pairwise(mu, v, values[j])
+        values[i] = v
+    return finished and arg_finished and fun_finished, folds
+
+
+def saturate(tree: Tree) -> Tree:
+    """Grow the pointed node if it asks for it, then value every node.
+
+    A pointed bare proposition requirement grows an entity requirement
+    daughter (taking the pointer) and a predicate requirement daughter.
+    One evaluate pass without stand-ins then values the tree; each
+    internal node that gets a value stores it as its formula and loses
+    its requirement.
+    """
     p = tree.pointed
     if p.requirement and p.sem_type == T and p.is_leaf and p.formula is None:
         base = len(tree.nodes)
@@ -158,36 +218,14 @@ def _saturate_step(tree: Tree) -> Tree:
         nodes[p.node_id] = _dc_replace(p, argument=base, functor=base + 1)
         nodes.append(Node(base, E, requirement=True, parent=p.node_id))
         nodes.append(Node(base + 1, ET, requirement=True, parent=p.node_id))
-        return Tree(tuple(nodes), pointer=base, root=tree.root)
-
-    # reduction: contract finished daughters, fold finished adjuncts
-    for i, n in enumerate(tree.nodes):
-        if n.argument is None or n.functor is None:
-            continue
-        a = tree.nodes[n.argument]
-        f = tree.nodes[n.functor]
-        if not (a.complete and f.complete):
-            continue
-        slot = application_slot(f.sem_type)
-        value = contract(f.formula, a.formula, [(slot, 0)])
-        if n.sem_type == T:
-            for link_root in _links_in_clause(tree, i):
-                if _link_finished(tree, link_root):
-                    value = mu(value, tree.nodes[link_root].formula)
-        if n.requirement or n.formula != value:
-            return tree.with_node(
-                _dc_replace(n, requirement=False, formula=value)
-            )
-    return tree
-
-
-def saturate(tree: Tree) -> Tree:
-    """Run growth and reduction to a fixed point."""
-    while True:
-        nxt = _saturate_step(tree)
-        if nxt is tree:
-            return tree
-        tree = nxt
+        tree = Tree(tuple(nodes), pointer=base, root=tree.root)
+    values = evaluate(tree)
+    nodes = [
+        n if n.is_leaf or values[n.node_id] is None
+        else _dc_replace(n, requirement=False, formula=values[n.node_id])
+        for n in tree.nodes
+    ]
+    return Tree(tuple(nodes), tree.pointer, tree.root)
 
 
 def canonical_view(tree: Tree) -> Tree:
@@ -328,9 +366,6 @@ class Candidate:
 class ParseState:
     candidates: tuple[Candidate, ...]
     consumed: tuple[str, ...] = ()
-
-    def complete_candidates(self) -> list[Candidate]:
-        return [c for c in self.candidates if c.tree.is_complete()]
 
 
 def initial_state() -> ParseState:

@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
 import oracles
+from dsvs import parser as parser_module
 from dsvs import (
     DeadEnd,
     E,
@@ -12,6 +15,7 @@ from dsvs import (
     apply_link,
     axiom,
     canonical_view,
+    compile_root,
     fn,
     initial_state,
     parse_sequence,
@@ -67,6 +71,46 @@ def test_saturate_is_idempotent(traces_lex):
     for words in ("mary", "mary likes", "mary likes john", "mary who sleeps"):
         t = first_tree(after(words, traces_lex))
         assert saturate(t) == saturate(saturate(t))
+
+
+@pytest.mark.parametrize("sentence", [
+    "mary who sleeps snores",
+    "mary who likes john snores",
+    "mary likes john who sleeps",
+])
+def test_saturation_contracts_each_internal_node_at_most_once(
+    sentence, traces_lex, monkeypatch
+):
+    *head, last = sentence.split()
+    sense = traces_lex.lookup(last)[0]
+    for variant in apply_computational(first_tree(parse_sequence(head, traces_lex))):
+        grown = apply_lexical(variant, sense)
+        if grown is not None:
+            break
+    calls = []
+    real = parser_module.contract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parser_module, "contract", counting)
+    t = saturate(grown)
+    assert t.is_complete()
+    assert len(calls) <= sum(not n.is_leaf for n in t.nodes)
+
+
+def test_evaluation_leaves_no_reference_cycles(traces_lex):
+    # a cycle would keep every node value alive until the collector runs
+    tree = first_tree(after("mary who likes john", traces_lex))
+    gc.collect()
+    gc.disable()
+    try:
+        saturate(tree)
+        compile_root(tree, traces_lex, "direct_sum")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
