@@ -142,14 +142,10 @@ def _cmd_parse(args) -> int:
     trace = []
     for word in words:
         state = parse_word(state, word, lexicon)
-        ranked = disambiguate(state, lexicon, args.strategy)
-        trace.append((word, len(state.consumed), ranked))
-
-    if not words:
-        ranked = disambiguate(state, lexicon, args.strategy)
-        trace.append(("", 0, ranked))
-
-    final_ranked = trace[-1][2]
+        if args.trace:
+            ranked = disambiguate(state, lexicon, args.strategy)
+            trace.append((word, len(state.consumed), ranked))
+    final_ranked = trace[-1][2] if trace else disambiguate(state, lexicon, args.strategy)
 
     if args.format == "json":
         doc = {
@@ -170,15 +166,12 @@ def _cmd_parse(args) -> int:
                     "tree": _tree_json(canonical_view(ranked[0][0].tree)),
                 }
                 for word, pos, ranked in trace
-                if word
             ]
         print(json.dumps(doc, ensure_ascii=False, indent=2))
         return 0
 
     if args.trace:
         for word, pos, ranked in trace:
-            if not word:
-                continue
             n = len(ranked)
             plural = "candidate" if n == 1 else "candidates"
             print(f"word {pos}: {word}  ({n} {plural})")

@@ -14,7 +14,9 @@ substituting a stand-in for each requirement leaf according to a strategy:
 
 "Known tensors of a signature" means lexicon formulae of that signature
 plus every one-argument saturation of a lexicon function against a lexicon
-entity that lands in it.  With direct_sum the alternatives ride through
+entity that lands in it.  A lexicon never changes, so each stand-in is
+built once per lexicon, signature and strategy, on first use, and kept in
+the lexicon's stand_ins.  With direct_sum the alternatives ride through
 composition (tuples combine pairwise), so the root comes back as a tuple
 whose entrywise sum equals the sum strategy's single tensor.
 
@@ -49,9 +51,11 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> list[tuple[str,
 
     Lexicon formulae of the signature come first, in declaration order,
     then one-argument saturations: each function sense contracted against
-    each entity sense at the function's application slot, kept when the
-    result lands in the requested signature.  Saturations are labelled
-    "function+argument".
+    each entity sense at the function's application slot, for functions
+    whose result lands in the requested signature.  An entity argument
+    adds no slot, so that result signature is the function's own minus
+    the application slot, known before contracting.  Saturations are
+    labelled "function+argument".
     """
     found: list[tuple[str, Tensor]] = []
     for s in lexicon.senses:
@@ -61,27 +65,39 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> list[tuple[str,
         if f.tensor is None or not f.sem_type.is_function:
             continue
         slot = application_slot(f.sem_type)
+        spaces = f.tensor.signature.spaces
+        if Signature(spaces[:slot] + spaces[slot + 1:]) != signature:
+            continue
         for a in lexicon.senses:
             if a.tensor is None or a.sem_type != E:
                 continue
             saturated = contract(f.tensor, a.tensor, [(slot, 0)])
-            if saturated.signature == signature:
-                found.append((f"{f.sense_id}+{a.sense_id}", saturated))
+            found.append((f"{f.sense_id}+{a.sense_id}", saturated))
     return found
 
 
 def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
-    """Stand-in value for a requirement of the given signature."""
+    """Stand-in value for a requirement of the given signature.
+
+    Built once per lexicon, signature and strategy, then served from
+    lexicon.stand_ins; tensors are immutable, so sharing them is safe.
+    Failures are not remembered and raise again on every call.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    key = (signature, strategy)
+    value = lexicon.stand_ins.get(key)
+    if value is not None:
+        return value
     if strategy == "unit":
-        return unit_tensor(signature)
-    tensors = [t for _, t in known_inhabitants(signature, lexicon)]
-    if not tensors:
-        raise NoInhabitants(f"lexicon has no tensors of signature {signature!r}")
-    if strategy == "sum":
-        return sum_tensors(tensors)
-    return direct_sum(tensors)
+        value = unit_tensor(signature)
+    else:
+        tensors = [t for _, t in known_inhabitants(signature, lexicon)]
+        if not tensors:
+            raise NoInhabitants(f"lexicon has no tensors of signature {signature!r}")
+        value = sum_tensors(tensors) if strategy == "sum" else direct_sum(tensors)
+    lexicon.stand_ins[key] = value
+    return value
 
 
 def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):

@@ -214,12 +214,18 @@ class Sense:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """An ordered collection of senses over a fixed pair of spaces."""
+    """An ordered collection of senses over a fixed pair of spaces.
+
+    stand_ins is derived data, not part of the lexicon's value: the
+    interpreter fills it lazily with one stand-in per (signature,
+    strategy), which is sound because a lexicon never changes.
+    """
 
     spaces: tuple[Space, ...]
     space_map: SpaceMap
     senses: tuple[Sense, ...]
     _by_surface: dict = field(init=False, repr=False, compare=False)
+    stand_ins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))

@@ -1,6 +1,6 @@
 import json
 
-from dsvs import fixture_path, load_lexicon
+from dsvs import disambiguate, fixture_path, load_lexicon
 from dsvs.cli import main
 
 BASE = str(fixture_path("paper_s4"))
@@ -36,6 +36,25 @@ def test_parse_trace_shows_one_event_per_word(capsys):
     final_block = out.split("word 3")[1]
     assert "?" not in final_block
     assert out.rstrip().endswith("ratio = 0.5556")
+
+
+def test_parse_ranks_once_unless_tracing(capsys, monkeypatch):
+    ranked = []
+
+    def counting(state, lexicon, strategy):
+        ranked.append(len(state.consumed))
+        return disambiguate(state, lexicon, strategy)
+
+    monkeypatch.setattr("dsvs.cli.disambiguate", counting)
+    for fmt in ("text", "json"):
+        for extra, want in (((), [3]), (("--trace",), [1, 2, 3])):
+            ranked.clear()
+            code, _, _ = run(capsys, "parse", "--lexicon", TRACES, "--format", fmt,
+                             *extra, "mary likes john")
+            assert code == 0 and ranked == want
+        ranked.clear()
+        assert run(capsys, "parse", "--lexicon", TRACES, "--format", fmt, "")[0] == 0
+        assert ranked == [0]
 
 
 def test_parse_handles_punctuation_and_case(capsys):

@@ -16,8 +16,10 @@ from dsvs import (
     compile_root,
     disambiguate,
     expect,
+    fixture_path,
     initial_state,
     known_inhabitants,
+    load_lexicon,
     parse_sequence,
     parse_type,
     parse_word,
@@ -91,8 +93,50 @@ def test_underspec_with_no_inhabitants(base_lex):
     w = base_lex.space_map.entity
     with pytest.raises(NoInhabitants):
         underspec_tensor(Signature((w, w)), "sum", base_lex)
+    # a failure is not remembered: the second call raises too
+    with pytest.raises(NoInhabitants):
+        underspec_tensor(Signature((w, w)), "sum", base_lex)
     # unit needs no inventory at all
     assert underspec_tensor(Signature((w, w)), "unit", base_lex).rank == 2
+
+
+def test_each_stand_in_is_built_once_per_lexicon(monkeypatch):
+    lex = load_lexicon(fixture_path("traces"))
+    built = []
+
+    def counting(signature, lexicon):
+        built.append(signature)
+        return known_inhabitants(signature, lexicon)
+
+    monkeypatch.setattr("dsvs.interpret.known_inhabitants", counting)
+    prefixes = [[], ["mary"], ["mary", "likes"], ["mary", "who"], ["mary", "who", "likes"]]
+    for strategy in ("sum", "direct_sum"):
+        fills = len(built)
+        for words in prefixes:
+            st = parse_sequence(words, lex)
+            disambiguate(st, lex, strategy)
+            expect(st, ["sleeps", "likes", "john", "who", "mary"], lex, strategy)
+        once = built[fills:]
+        assert once and len(once) == len(set(once))
+        assert {k for k in lex.stand_ins if k[1] == strategy} == {(s, strategy) for s in once}
+
+
+def test_memoised_stand_ins_are_shared_and_read_only():
+    lex = load_lexicon(fixture_path("traces"))
+    sig = et_sig(lex)
+    for strategy in ("unit", "sum", "direct_sum"):
+        value = underspec_tensor(sig, strategy, lex)
+        assert underspec_tensor(sig, strategy, lex) is value
+        parts = value.components if isinstance(value, TensorTuple) else (value,)
+        assert all(not t.array.flags.writeable for t in parts)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            underspec_tensor(sig, "bogus", lex)
+    assert len(lex.stand_ins) == 3
+    # the memo is filled lazily and is not part of the lexicon's value
+    cold = load_lexicon(fixture_path("traces"))
+    assert cold.stand_ins == {}
+    assert lex == cold and hash(lex) == hash(cold) and repr(lex) == repr(cold)
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,31 @@ fixed point that pass must reach, restated node by node: a node with two
 complete daughters is complete, its formula is functor contracted against
 argument, and at a proposition node every finished adjunct in its clause
 is folded in entrywise.
+
+Stand-ins are kept on the lexicon once built; LEXICONS below is shared by
+every example, so its stand-ins are warm, and a freshly loaded copy gives
+the cold answer to compare against.
 """
+
+import gc
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from dsvs import (
+    STRATEGIES,
     DeadEnd,
     T,
     TensorTuple,
     application_slot,
     compile_root,
+    disambiguate,
     fixture_path,
     initial_state,
     load_lexicon,
+    parse_sequence,
     parse_word,
 )
 
@@ -116,3 +126,37 @@ def test_every_candidate_is_saturated_and_strategies_agree(drawn):
             if isinstance(kept, TensorTuple):
                 kept = kept.collapse()
             assert kept == compile_root(cand.tree, lex, "sum")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sentences())
+def test_warm_stand_ins_give_the_same_roots_as_cold_ones(drawn):
+    name, words = drawn
+    lex = LEXICONS[name]
+    state = initial_state()
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        for cand in state.candidates:
+            for strategy in STRATEGIES:
+                cold = load_lexicon(fixture_path(name))
+                assert compile_root(cand.tree, lex, strategy) == compile_root(
+                    cand.tree, cold, strategy
+                )
+
+
+def test_a_scored_lexicon_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        lex = load_lexicon(fixture_path("traces"))
+        state = parse_sequence(["mary", "who", "likes"], lex)
+        for strategy in STRATEGIES:
+            disambiguate(state, lex, strategy)
+        assert lex.stand_ins
+        freed = weakref.ref(lex)
+        del lex
+        assert freed() is None
+    finally:
+        gc.enable()
