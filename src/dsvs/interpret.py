@@ -18,7 +18,12 @@ entity that lands in it.  A lexicon never changes, so each stand-in is
 built once per lexicon, signature and strategy, on first use, and kept in
 the lexicon's stand_ins.  With direct_sum the alternatives ride through
 composition (tuples combine pairwise), so the root comes back as a tuple
-whose entrywise sum equals the sum strategy's single tensor.
+whose entrywise sum equals the sum strategy's single tensor.  That tuple
+is lazy: contraction and mu are bilinear, so combining two tuples costs
+one operation on their collapsed values, exactly the sum strategy's, and
+the product of components is built only when someone reads it.  Scoring
+a direct_sum root therefore costs what scoring a sum root does, and on
+float lexicons gives the same ratio bit for bit.
 
 On those root values the module ranks: disambiguate orders a state's live
 candidates by plausibility, expect orders candidate next words by the

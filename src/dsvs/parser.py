@@ -129,15 +129,14 @@ def _first_requirement_leaf(tree: Tree) -> int | None:
 def _pairwise(op, x, y):
     """op on two values, either of which may be a TensorTuple.
 
-    A tuple operand makes the result a tuple holding op of every pair of
-    components, left operand outermost.
+    A tuple operand makes the result a lazy TensorTuple holding op of
+    every pair of components, left operand outermost.  Only op of the two
+    collapsed operands is computed now; since contract and mu are
+    bilinear, that is the collapsed result, and scoring needs nothing else.
     """
-    xs = x.components if isinstance(x, TensorTuple) else (x,)
-    ys = y.components if isinstance(y, TensorTuple) else (y,)
-    out = [op(a, b) for a in xs for b in ys]
     if isinstance(x, TensorTuple) or isinstance(y, TensorTuple):
-        return TensorTuple(tuple(out))
-    return out[0]
+        return TensorTuple.pairwise(op, x, y)
+    return op(x, y)
 
 
 def evaluate(tree: Tree, stand_in=None) -> list:
@@ -155,7 +154,9 @@ def evaluate(tree: Tree, stand_in=None) -> list:
     Adjunct trees never take stand-ins: only a finished adjunct (no unmet
     requirement anywhere in it) contributes, and that one needs none.
     TensorTuple values (direct_sum stand-ins) combine pairwise, so a tuple
-    anywhere in the clause makes the root value a tuple.
+    anywhere in the clause makes the root value a tuple.  That tuple is
+    lazy: each combination costs one operation on collapsed values, the
+    same as with sum stand-ins, and components are built only when read.
 
     Returns the values as a list indexed by node id.
     """

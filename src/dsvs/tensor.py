@@ -17,6 +17,7 @@ large ones.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,19 +149,23 @@ class Tensor:
         return f"Tensor({self.signature!r}, {self.array.tolist()!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class TensorTuple:
     """A non-empty ordered tuple of tensors sharing one signature.
 
     Used when a value is kept as separate alternatives rather than being
     collapsed into a single tensor.  Entrywise addition of the components
-    recovers the collapsed form.
+    recovers the collapsed form; collapse() computes it once and keeps it.
+
+    A tuple made by TensorTuple.pairwise is lazy: it keeps a bilinear
+    operation and its two operands, computes only the collapsed tensor up
+    front, and builds each component when it is asked for.  Either way
+    components is a read-only sequence, and the value is immutable.
     """
 
-    components: tuple[Tensor, ...]
+    __slots__ = ("_components", "_collapsed")
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise EmptyList("a tensor tuple needs at least one component")
         sig = comps[0].signature
@@ -169,32 +174,91 @@ class TensorTuple:
                 raise SignatureMismatch(
                     f"component {i} has signature {c.signature!r}, expected {sig!r}"
                 )
-        object.__setattr__(self, "components", comps)
+        self._components = comps
+        self._collapsed = None
+
+    @classmethod
+    def pairwise(cls, op, x, y) -> "TensorTuple":
+        """op of every pair of components of x and y, left operand outermost.
+
+        x and y are tensors or tuples; a tensor counts as a one-component
+        tuple.  op must be bilinear, as contract and mu are: then the
+        entrywise sum of the results equals op of the two collapsed
+        operands, which is the only op call made here.  Component i is
+        op(x[i // len(y)], y[i % len(y)]), computed each time it is read.
+        """
+        self = cls.__new__(cls)
+        self._collapsed = op(_collapsed(x), _collapsed(y))
+        self._components = _Pairs(op, _parts(x), _parts(y))
+        return self
+
+    @property
+    def components(self):
+        return self._components
 
     @property
     def signature(self) -> Signature:
-        return self.components[0].signature
+        if self._collapsed is not None:
+            return self._collapsed.signature
+        return self._components[0].signature
 
     def collapse(self) -> Tensor:
         """Entrywise sum of all components."""
-        return sum_tensors(list(self.components))
+        if self._collapsed is None:
+            self._collapsed = sum_tensors(list(self._components))
+        return self._collapsed
 
     def __len__(self):
-        return len(self.components)
+        return len(self._components)
 
     def __iter__(self):
-        return iter(self.components)
+        return iter(self._components)
 
     def __getitem__(self, i):
-        return self.components[i]
+        return self._components[i]
 
     def __eq__(self, other):
         if not isinstance(other, TensorTuple):
             return NotImplemented
-        return self.components == other.components
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"TensorTuple({len(self)} x {self.signature!r})"
+
+
+def _parts(value):
+    return value.components if isinstance(value, TensorTuple) else (value,)
+
+
+def _collapsed(value) -> Tensor:
+    return value.collapse() if isinstance(value, TensorTuple) else value
+
+
+class _Pairs(Sequence):
+    """op(xs[i // len(ys)], ys[i % len(ys)]) at index i, built on demand."""
+
+    __slots__ = ("_op", "_xs", "_ys")
+
+    def __init__(self, op, xs, ys):
+        self._op, self._xs, self._ys = op, xs, ys
+
+    def __len__(self):
+        return len(self._xs) * len(self._ys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        q, r = divmod(range(len(self))[i], len(self._ys))
+        return self._op(self._xs[q], self._ys[r])
+
+    def __iter__(self):
+        ys = tuple(self._ys)
+        for a in self._xs:
+            for b in ys:
+                yield self._op(a, b)
 
 
 def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 import oracles
 from dsvs import (
     BOTTOM,
     TOP,
+    DeadEnd,
     Lexicon,
     NoInhabitants,
     Sense,
@@ -221,6 +224,31 @@ def test_plausibility_needs_a_two_point_vector():
         plausibility(Tensor(Signature((w,)), [1, 2, 3]))
     with pytest.raises(SignatureMismatch):
         plausibility(Tensor(Signature((w, s)), [[1, 2], [3, 4], [5, 6]]))
+
+
+def test_direct_sum_scores_equal_sum_scores_on_a_float_lexicon(traces_lex):
+    # a direct_sum root is scored from collapsed stand-ins, so its float
+    # arithmetic is the sum strategy's, step for step
+    lex = Lexicon(traces_lex.spaces, traces_lex.space_map, tuple(
+        s if s.tensor is None
+        else replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
+        for s in traces_lex.senses
+    ))
+    vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
+    states, pairs = [initial_state()], 0
+    for _ in range(6):  # every live prefix of up to five words
+        grown = []
+        for state in states:
+            for cand in state.candidates:
+                assert score_candidate(cand, lex, "direct_sum") == score_candidate(cand, lex, "sum")
+                pairs += 1
+            for word in vocabulary:
+                try:
+                    grown.append(parse_word(state, word, lex))
+                except DeadEnd:
+                    pass
+        states = grown
+    assert pairs > 300
 
 
 def test_plausibility_collapses_tuples():

@@ -9,28 +9,49 @@ is folded in entrywise.
 Stand-ins are kept on the lexicon once built; LEXICONS below is shared by
 every example, so its stand-ins are warm, and a freshly loaded copy gives
 the cold answer to compare against.
+
+A direct_sum root builds its components only when they are read.  The
+reference for them is the eager product, restated with lists: every pair
+of daughter components, functor outermost, then every finished adjunct of
+the clause folded in.
 """
 
 import gc
 import weakref
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import dsvs.parser
 from dsvs import (
+    BOTTOM,
     STRATEGIES,
+    TOP,
     DeadEnd,
+    Lexicon,
+    Sense,
+    Signature,
+    Space,
+    SpaceMap,
     T,
+    Tensor,
     TensorTuple,
     application_slot,
+    axiom,
     compile_root,
     disambiguate,
     fixture_path,
     initial_state,
+    known_inhabitants,
     load_lexicon,
     parse_sequence,
+    parse_type,
     parse_word,
+    plausibility,
+    saturate,
+    signature_of,
 )
 
 LEXICONS = {name: load_lexicon(fixture_path(name)) for name in ("traces", "split_senses")}
@@ -88,6 +109,38 @@ def _clause_adjuncts(tree, i):
         if c is not None:
             found += _clause_adjuncts(tree, c)
     return found
+
+
+def _direct_sum_lists(tree, lex, i=None):
+    """Every component of node i's direct_sum value, as nested lists."""
+    i = tree.root if i is None else i
+    n = tree.nodes[i]
+    if n.is_leaf:
+        if n.complete:
+            return [n.formula.tolist()]
+        sig = signature_of(n.sem_type, lex.space_map)
+        return [t.tolist() for _, t in known_inhabitants(sig, lex)]
+    pairs = [(application_slot(tree.nodes[n.functor].sem_type), 0)]
+    out = [
+        oracles.contract_lists(f, a, pairs)
+        for f in _direct_sum_lists(tree, lex, n.functor)
+        for a in _direct_sum_lists(tree, lex, n.argument)
+    ]
+    if n.sem_type == T:
+        for j in _clause_adjuncts(tree, i):
+            if _finished(tree, j):
+                out = [oracles.mul_lists(v, tree.nodes[j].formula.tolist()) for v in out]
+    return out
+
+
+def _check_direct_sum(tree, lex):
+    """The direct_sum root lists the eager product's components in its
+    order, and collapses to the sum root exactly."""
+    kept = compile_root(tree, lex, "direct_sum")
+    parts = kept.components if isinstance(kept, TensorTuple) else [kept]
+    assert [c.tolist() for c in parts] == _direct_sum_lists(tree, lex)
+    collapsed = kept.collapse() if isinstance(kept, TensorTuple) else kept
+    assert collapsed == compile_root(tree, lex, "sum")
 
 
 def _check_saturated(tree):
@@ -160,3 +213,82 @@ def test_a_scored_lexicon_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+@st.composite
+def random_lexicons(draw):
+    """A small integer lexicon and a token list over its vocabulary.
+
+    Entity dim 2-3; one to three senses each of e, et and eet, whose
+    surface words come from a shared pool so that words can be ambiguous
+    across types; and who.
+    """
+    w = Space("W", ("x", "y", "z")[: draw(st.integers(2, 3))])
+    s = Space("S", (TOP, BOTTOM))
+    senses = [Sense("who#rel", "who", None, None)]
+    for kind, sig in (("e", Signature((w,))), ("et", Signature((w, s))),
+                      ("eet", Signature((w, s, w)))):
+        size = int(np.prod(sig.dims))
+        for k in range(draw(st.integers(1, 3))):
+            entries = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+            senses.append(Sense(
+                f"{kind}{k}", draw(st.sampled_from("pqrs")), parse_type(kind),
+                Tensor(sig, np.reshape(entries, sig.dims)),
+            ))
+    lex = Lexicon((w, s), SpaceMap(entity=w, sentence=s), tuple(senses))
+    vocabulary = sorted({x.word for x in senses})
+    return lex, draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(random_lexicons())
+def test_direct_sum_roots_match_the_eager_product_on_random_lexicons(drawn):
+    lex, words = drawn
+    _check_direct_sum(saturate(axiom()), lex)  # two open leaves
+    state = initial_state()
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        for cand in state.candidates:
+            _check_direct_sum(cand.tree, lex)
+
+
+def test_direct_sum_scores_with_the_contractions_of_sum(monkeypatch):
+    lex = load_lexicon(fixture_path("traces"))
+    prefixes = [[], ["mary"], ["mary", "who"], ["mary", "likes"],
+                ["mary", "who", "likes"], ["john", "likes"], ["mary", "who", "sleeps"]]
+    trees = [c.tree for words in prefixes for c in parse_sequence(words, lex).candidates]
+    trees.append(saturate(axiom()))  # two open leaves: a product of two tuples
+    for tree in trees:  # warm the stand-ins
+        for strategy in ("sum", "direct_sum"):
+            compile_root(tree, lex, strategy)
+
+    calls = []
+    real = dsvs.parser.contract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dsvs.parser, "contract", counting)
+
+    def contractions(fn):
+        before = len(calls)
+        result = fn()
+        return result, len(calls) - before
+
+    widest = 0
+    for tree in trees:
+        summed, via_sum = contractions(lambda: plausibility(compile_root(tree, lex, "sum")))
+        kept, via_parts = contractions(lambda: compile_root(tree, lex, "direct_sum"))
+        score, scoring = contractions(lambda: plausibility(kept))
+        assert via_parts == via_sum and scoring == 0
+        assert score == summed
+        if isinstance(kept, TensorTuple):
+            width, counting_them = contractions(lambda: len(kept.components))
+            assert counting_them == 0 and width == len(kept)
+            widest = max(widest, width)
+        _check_direct_sum(tree, lex)
+    assert widest == 8
