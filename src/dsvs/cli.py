@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .errors import DeadEnd, DsvsError, LexiconMiss, ParseError, ValidationError
+from .errors import DeadEnd, DsvsError, LexiconMiss, ParseError
 from .interpret import STRATEGIES, disambiguate, expect
 from .lexicon import (
     BOTTOM,
@@ -37,7 +37,7 @@ from .lexicon import (
     save_lexicon,
     tokenize,
 )
-from .parser import canonical_view, initial_state, parse_word
+from .parser import canonical_view, initial_state, parse_sequence, parse_word
 from .parser import render as render_tree
 from .semtypes import SpaceMap, parse_type
 from .tensor import Signature, Space, Tensor
@@ -102,26 +102,30 @@ def _root_line(score, lexicon) -> str:
     return f"root {name} = ({score.top}, {score.bottom})  ratio = {score.ratio:.4f}"
 
 
-def _tree_json(tree) -> dict:
-    def node_obj(i: int) -> dict:
-        n = tree.nodes[i]
-        o: dict = {
-            "type": n.sem_type.compact(),
-            "requirement": n.requirement,
-        }
-        if n.formula is not None:
-            o["formula"] = n.formula.tolist()
-        if i == tree.pointer:
-            o["pointer"] = True
-        if n.argument is not None:
-            o["argument"] = node_obj(n.argument)
-        if n.functor is not None:
-            o["functor"] = node_obj(n.functor)
-        if n.link is not None:
-            o["link"] = node_obj(n.link)
-        return o
+def _tree_json(tree, i: int | None = None) -> dict:
+    """A node (the root by default) and everything under it, as JSON.
 
-    return node_obj(tree.root)
+    Recursive at module level: a recursive closure would form a reference
+    cycle and keep the tree alive until the cycle collector runs.
+    """
+    if i is None:
+        i = tree.root
+    n = tree.nodes[i]
+    o: dict = {
+        "type": n.sem_type.compact(),
+        "requirement": n.requirement,
+    }
+    if n.formula is not None:
+        o["formula"] = n.formula.tolist()
+    if i == tree.pointer:
+        o["pointer"] = True
+    if n.argument is not None:
+        o["argument"] = _tree_json(tree, n.argument)
+    if n.functor is not None:
+        o["functor"] = _tree_json(tree, n.functor)
+    if n.link is not None:
+        o["link"] = _tree_json(tree, n.link)
+    return o
 
 
 def _candidate_json(rank, candidate, score) -> dict:
@@ -187,10 +191,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_disambiguate(args) -> int:
     lexicon = _need_lexicon(args.lexicon)
-    words = tokenize(args.words)
-    state = initial_state()
-    for word in words:
-        state = parse_word(state, word, lexicon)
+    state = parse_sequence(tokenize(args.words), lexicon)
     ranked = disambiguate(state, lexicon, args.strategy)
     for k, (cand, score) in enumerate(ranked, start=1):
         print(f"{k}. {' '.join(cand.senses)}  {_root_line(score, lexicon)}")
@@ -199,9 +200,7 @@ def _cmd_disambiguate(args) -> int:
 
 def _cmd_expect(args) -> int:
     lexicon = _need_lexicon(args.lexicon)
-    state = initial_state()
-    for word in tokenize(args.after):
-        state = parse_word(state, word, lexicon)
+    state = parse_sequence(tokenize(args.after), lexicon)
     words = [w for w in (t.strip() for t in args.candidates.split(",")) if w]
     entries = expect(state, words, lexicon, args.strategy)
     rank = 0
@@ -296,13 +295,7 @@ def main(argv=None) -> int:
     except (LexiconMiss, DeadEnd) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError) as e:
-        print(f"dsvs: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"dsvs: {e}", file=sys.stderr)
-        return 2
-    except DsvsError as e:
+    except (DsvsError, FileNotFoundError) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 2
     return 0

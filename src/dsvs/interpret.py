@@ -16,14 +16,17 @@ substituting a stand-in for each requirement leaf according to a strategy:
 plus every one-argument saturation of a lexicon function against a lexicon
 entity that lands in it.  A lexicon never changes, so each stand-in is
 built once per lexicon, signature and strategy, on first use, and kept in
-the lexicon's stand_ins.  With direct_sum the alternatives ride through
-composition (tuples combine pairwise), so the root comes back as a tuple
-whose entrywise sum equals the sum strategy's single tensor.  That tuple
-is lazy: contraction and mu are bilinear, so combining two tuples costs
-one operation on their collapsed values, exactly the sum strategy's, and
-the product of components is built only when someone reads it.  Scoring
-a direct_sum root therefore costs what scoring a sum root does, and on
-float lexicons gives the same ratio bit for bit.
+the lexicon's stand_ins.
+
+parser.evaluate composes plain tensors only; the direct_sum rule lives
+here, in compile_root.  Contraction and mu are multilinear, so a
+direct_sum root is the tree evaluated once per choice of alternative at
+each open leaf, and the sum of those values is the tree evaluated once
+with each leaf's alternatives summed, which is the sum stand-in.
+compile_root makes that one collapsed pass, so scoring a direct_sum root
+costs what scoring a sum root does and on float lexicons gives the same
+ratio bit for bit, and it re-evaluates the tree for a component only
+when someone reads it.
 
 On those root values the module ranks: disambiguate orders a state's live
 candidates by plausibility, expect orders candidate next words by the
@@ -32,7 +35,9 @@ plausibility of the parse that would follow.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import prod
 
 from .errors import NoInhabitants, SignatureMismatch
 from .lexicon import Lexicon
@@ -113,13 +118,57 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     reproduces the stored root exactly.  Finished adjunct trees fold into
     their clause's proposition node entrywise; unfinished adjuncts do not
     contribute.
+
+    Under direct_sum that pass fills each open leaf with its stand-in's
+    collapse (exactly the sum stand-in), and a tree with open leaves
+    comes back as TensorTuple(components, collapsed=root).  Component i
+    is the tree evaluated with open leaf k fixed to alternative k of i,
+    read as a mixed-radix number over the open leaves in functor-first
+    order, the first leaf most significant.  Components are computed when
+    read; len() computes none.
     """
+    open_leaves: list = []
 
     def stand_in(node):
         sig = signature_of(node.sem_type, lexicon.space_map)
-        return underspec_tensor(sig, strategy, lexicon)
+        value = underspec_tensor(sig, strategy, lexicon)
+        if isinstance(value, TensorTuple):
+            open_leaves.append((node.node_id, value.components))
+            return value.collapse()
+        return value
 
-    return evaluate(tree, stand_in)[tree.root]
+    root = evaluate(tree, stand_in)[tree.root]
+    if not open_leaves:
+        return root
+    # evaluate asks argument before functor, so reversing gives functor first
+    return TensorTuple(_Choices(tree, open_leaves[::-1]), collapsed=root)
+
+
+class _Choices(Sequence):
+    """The components of a direct_sum root, each evaluated when read.
+
+    leaves holds (node id, alternatives) per open leaf, first leaf most
+    significant: item i fixes the last leaf to i % len(its alternatives),
+    and so on leftwards.
+    """
+
+    __slots__ = ("_tree", "_leaves")
+
+    def __init__(self, tree: Tree, leaves):
+        self._tree, self._leaves = tree, leaves
+
+    def __len__(self):
+        return prod(len(alternatives) for _, alternatives in self._leaves)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        i = range(len(self))[i]
+        chosen = {}
+        for node_id, alternatives in reversed(self._leaves):
+            i, digit = divmod(i, len(alternatives))
+            chosen[node_id] = alternatives[digit]
+        return evaluate(self._tree, lambda node: chosen[node.node_id])[self._tree.root]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ an excerpt or it does not, multiplicity is ignored.
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -272,6 +273,24 @@ class Lexicon:
 # file format
 
 
+def _bad_entry(values):
+    """The first boolean or non-finite entry in nested tensor lists, or None.
+
+    json reads true as a bool that numpy would count as 1, and reads NaN,
+    Infinity and float literals too large for a double (1e999) as
+    non-finite floats, which score as nan; neither is a count.
+    """
+    if isinstance(values, list):
+        for v in values:
+            bad = _bad_entry(v)
+            if bad is not None:
+                return bad
+        return None
+    if isinstance(values, bool) or (isinstance(values, float) and not math.isfinite(values)):
+        return values
+    return None
+
+
 def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
     if not isinstance(obj, dict):
         raise ParseError(f"senses[{pos}]: expected an object")
@@ -301,6 +320,10 @@ def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
         raise ParseError(f"senses[{pos}] ({sid}): unrecognised type {tyname!r}")
     if "tensor" not in obj:
         raise ParseError(f"senses[{pos}] ({sid}): missing required field 'tensor'")
+    bad = _bad_entry(obj["tensor"])
+    if bad is not None:
+        kind = "a boolean" if isinstance(bad, bool) else "not a finite number"
+        raise ValidationError(f"sense {sid!r}: bad tensor: entry {json.dumps(bad)} is {kind}")
     sig = signature_of(ty, smap)
     try:
         tensor = Tensor(sig, obj["tensor"])
@@ -314,8 +337,8 @@ def load_lexicon(path) -> Lexicon:
 
     Syntax problems raise ParseError with file and position information;
     well-formed files that break a consistency rule (duplicate sense ids,
-    tensors that do not fit their type) raise ValidationError naming the
-    offending sense.
+    tensors that do not fit their type, boolean or non-finite tensor
+    entries) raise ValidationError naming the offending sense.
     """
     p = Path(path)
     try:

@@ -11,8 +11,10 @@ grows argument and functor daughters, and any node whose daughters both
 carry formulae receives the contraction of functor against argument.  At
 proposition nodes the contraction is additionally multiplied entrywise
 with the root formula of every finished adjunct tree in the clause.
-That rule lives in evaluate, which interpret also uses to value
-unfinished trees with stand-ins at their unmet requirements.
+That rule lives in evaluate, which composes plain tensors only, by
+contract and mu.  interpret also uses it to value unfinished trees with
+stand-ins at their unmet requirements, and builds direct_sum roots from
+it by re-evaluating the tree once per choice of alternatives.
 
 The pointer marks where the next word may act.  It can travel up from a
 finished node to its mother (also crossing from a finished adjunct root
@@ -30,7 +32,7 @@ from dataclasses import dataclass, replace as _dc_replace
 from .errors import DeadEnd, LexiconMiss, LinkUnavailable
 from .lexicon import Lexicon, Sense
 from .semtypes import E, SemType, T, application_slot, fn
-from .tensor import Tensor, TensorTuple, contract, mu
+from .tensor import Tensor, contract, mu
 
 ET = fn(E, T)
 
@@ -108,35 +110,19 @@ def _has_requirement(tree: Tree, top: int) -> bool:
 
 
 def _first_requirement_leaf(tree: Tree) -> int | None:
-    def visit(i: int) -> int | None:
-        n = tree.nodes[i]
+    """First requirement leaf in depth-first order: node, argument,
+    functor, adjunct."""
+    stack = [tree.root]
+    while stack:
+        n = tree.nodes[stack.pop()]
         if n.requirement and n.is_leaf:
-            return i
-        for c in (n.argument, n.functor, n.link):
-            if c is not None:
-                r = visit(c)
-                if r is not None:
-                    return r
-        return None
-
-    return visit(tree.root)
+            return n.node_id
+        stack.extend(c for c in (n.link, n.functor, n.argument) if c is not None)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # evaluation and saturation
-
-
-def _pairwise(op, x, y):
-    """op on two values, either of which may be a TensorTuple.
-
-    A tuple operand makes the result a lazy TensorTuple holding op of
-    every pair of components, left operand outermost.  Only op of the two
-    collapsed operands is computed now; since contract and mu are
-    bilinear, that is the collapsed result, and scoring needs nothing else.
-    """
-    if isinstance(x, TensorTuple) or isinstance(y, TensorTuple):
-        return TensorTuple.pairwise(op, x, y)
-    return op(x, y)
 
 
 def evaluate(tree: Tree, stand_in=None) -> list:
@@ -153,10 +139,10 @@ def evaluate(tree: Tree, stand_in=None) -> list:
 
     Adjunct trees never take stand-ins: only a finished adjunct (no unmet
     requirement anywhere in it) contributes, and that one needs none.
-    TensorTuple values (direct_sum stand-ins) combine pairwise, so a tuple
-    anywhere in the clause makes the root value a tuple.  That tuple is
-    lazy: each combination costs one operation on collapsed values, the
-    same as with sum stand-ins, and components are built only when read.
+    Values are plain tensors; stand_in must return one.  Unmet leaves are
+    asked for depth first, argument subtree before functor subtree.
+    Alternatives kept apart (the direct_sum strategy) are
+    interpret.compile_root's business, not this function's.
 
     Returns the values as a list indexed by node id.
     """
@@ -194,11 +180,10 @@ def _evaluate_subtree(nodes, values: list, i: int, fill) -> tuple[bool, list[int
     folds += arg_folds + fun_folds
     f, a = values[n.functor], values[n.argument]
     if f is not None and a is not None:
-        pairs = [(application_slot(nodes[n.functor].sem_type), 0)]
-        v = _pairwise(lambda x, y: contract(x, y, pairs), f, a)
+        v = contract(f, a, [(application_slot(nodes[n.functor].sem_type), 0)])
         if n.sem_type == T:
             for j in folds:
-                v = _pairwise(mu, v, values[j])
+                v = mu(v, values[j])
         values[i] = v
     return finished and arg_finished and fun_finished, folds
 
@@ -429,8 +414,9 @@ def render(tree: Tree) -> str:
     adjunct prints under its host flagged LINK.
     """
     lines: list[str] = []
-
-    def emit(i: int, depth: int, prefix: str = ""):
+    stack = [(tree.root, 0, "")]
+    while stack:
+        i, depth, prefix = stack.pop()
         n = tree.nodes[i]
         s = prefix + ("?" if n.requirement else "") + str(n.sem_type)
         if n.formula is not None:
@@ -438,12 +424,7 @@ def render(tree: Tree) -> str:
         if i == tree.pointer:
             s += " ◊"
         lines.append("  " * depth + s)
-        if n.argument is not None:
-            emit(n.argument, depth + 1)
-        if n.functor is not None:
-            emit(n.functor, depth + 1)
-        if n.link is not None:
-            emit(n.link, depth + 1, prefix="LINK: ")
-
-    emit(tree.root, 0)
+        for c, tag in ((n.link, "LINK: "), (n.functor, ""), (n.argument, "")):
+            if c is not None:
+                stack.append((c, depth + 1, tag))
     return "\n".join(lines)

@@ -17,7 +17,6 @@ large ones.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,41 +155,27 @@ class TensorTuple:
     collapsed into a single tensor.  Entrywise addition of the components
     recovers the collapsed form; collapse() computes it once and keeps it.
 
-    A tuple made by TensorTuple.pairwise is lazy: it keeps a bilinear
-    operation and its two operands, computes only the collapsed tensor up
-    front, and builds each component when it is asked for.  Either way
-    components is a read-only sequence, and the value is immutable.
+    A caller that already knows that sum may pass it as collapsed; the
+    components may then be any read-only sequence, lazy ones included, and
+    are taken on trust to sum to it.  interpret.compile_root builds its
+    direct_sum roots this way.  Either way the value is immutable.
     """
 
     __slots__ = ("_components", "_collapsed")
 
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
+    def __init__(self, components, collapsed: Tensor | None = None):
+        if collapsed is None:
+            components = tuple(components)
+            for i, c in enumerate(components[1:], start=1):
+                if c.signature != components[0].signature:
+                    raise SignatureMismatch(
+                        f"component {i} has signature {c.signature!r}, "
+                        f"expected {components[0].signature!r}"
+                    )
+        if not len(components):
             raise EmptyList("a tensor tuple needs at least one component")
-        sig = comps[0].signature
-        for i, c in enumerate(comps[1:], start=1):
-            if c.signature != sig:
-                raise SignatureMismatch(
-                    f"component {i} has signature {c.signature!r}, expected {sig!r}"
-                )
-        self._components = comps
-        self._collapsed = None
-
-    @classmethod
-    def pairwise(cls, op, x, y) -> "TensorTuple":
-        """op of every pair of components of x and y, left operand outermost.
-
-        x and y are tensors or tuples; a tensor counts as a one-component
-        tuple.  op must be bilinear, as contract and mu are: then the
-        entrywise sum of the results equals op of the two collapsed
-        operands, which is the only op call made here.  Component i is
-        op(x[i // len(y)], y[i % len(y)]), computed each time it is read.
-        """
-        self = cls.__new__(cls)
-        self._collapsed = op(_collapsed(x), _collapsed(y))
-        self._components = _Pairs(op, _parts(x), _parts(y))
-        return self
+        self._components = components
+        self._collapsed = collapsed
 
     @property
     def components(self):
@@ -227,38 +212,6 @@ class TensorTuple:
 
     def __repr__(self):
         return f"TensorTuple({len(self)} x {self.signature!r})"
-
-
-def _parts(value):
-    return value.components if isinstance(value, TensorTuple) else (value,)
-
-
-def _collapsed(value) -> Tensor:
-    return value.collapse() if isinstance(value, TensorTuple) else value
-
-
-class _Pairs(Sequence):
-    """op(xs[i // len(ys)], ys[i % len(ys)]) at index i, built on demand."""
-
-    __slots__ = ("_op", "_xs", "_ys")
-
-    def __init__(self, op, xs, ys):
-        self._op, self._xs, self._ys = op, xs, ys
-
-    def __len__(self):
-        return len(self._xs) * len(self._ys)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self))[i])
-        q, r = divmod(range(len(self))[i], len(self._ys))
-        return self._op(self._xs[q], self._ys[r])
-
-    def __iter__(self):
-        ys = tuple(self._ys)
-        for a in self._xs:
-            for b in ys:
-                yield self._op(a, b)
 
 
 def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:

@@ -1,7 +1,18 @@
+import gc
 import json
+from pathlib import Path
 
-from dsvs import disambiguate, fixture_path, load_lexicon
-from dsvs.cli import main
+import pytest
+
+from dsvs import (
+    canonical_view,
+    disambiguate,
+    fixture_path,
+    load_lexicon,
+    parse_sequence,
+    render,
+)
+from dsvs.cli import _tree_json, main
 
 BASE = str(fixture_path("paper_s4"))
 SPLIT = str(fixture_path("split_senses"))
@@ -55,6 +66,19 @@ def test_parse_ranks_once_unless_tracing(capsys, monkeypatch):
         ranked.clear()
         assert run(capsys, "parse", "--lexicon", TRACES, "--format", fmt, "")[0] == 0
         assert ranked == [0]
+
+
+@pytest.mark.parametrize("show", [canonical_view, render, _tree_json])
+def test_tree_output_leaves_no_reference_cycles(show):
+    # a cycle would keep the tree alive until the collector runs
+    tree = parse_sequence("mary who likes".split(), load_lexicon(TRACES)).candidates[0].tree
+    gc.collect()
+    gc.disable()
+    try:
+        show(tree)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parse_handles_punctuation_and_case(capsys):
@@ -150,6 +174,18 @@ def test_dead_end_exits_one(capsys):
 def test_unreadable_lexicon_exits_two(capsys):
     code, _, err = run(capsys, "parse", "--lexicon", "/no/such/file", "babies")
     assert code == 2 and "lexicon" in err
+
+
+@pytest.mark.parametrize("entry", ["true", "NaN", "Infinity", "1e999"])
+def test_malformed_tensor_entry_exits_two(capsys, tmp_path, entry):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    baby = next(s for s in doc["senses"] if s["id"] == "baby#n")
+    baby["tensor"] = "ENTRIES"
+    path = tmp_path / "bad.lexicon"
+    path.write_text(json.dumps(doc).replace('"ENTRIES"', f"[{entry}, 10, 0, 0]"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
+    assert code == 2 and out == "" and "baby#n" in err
 
 
 def test_bad_usage_exits_two(capsys):

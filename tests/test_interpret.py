@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from dsvs import parser as parser_module
 from dsvs import (
     BOTTOM,
     TOP,
@@ -16,7 +17,10 @@ from dsvs import (
     SpaceMap,
     Tensor,
     TensorTuple,
+    axiom,
     compile_root,
+    contract,
+    direct_sum,
     disambiguate,
     expect,
     fixture_path,
@@ -27,6 +31,7 @@ from dsvs import (
     parse_type,
     parse_word,
     plausibility,
+    saturate,
     score_candidate,
     underspec_tensor,
     unit_tensor,
@@ -180,6 +185,41 @@ def test_compile_prefix_with_componentwise_standin(base_lex):
         assert part.tolist() == oracles.sentence_vector(baby, verb.tolist())
     # componentwise and summed routes agree after collapse
     assert parts.collapse() == compile_root(cand.tree, base_lex, "sum")
+
+
+def test_direct_sum_root_builds_components_on_demand(traces_lex, monkeypatch):
+    tree = saturate(axiom())  # two open leaves: subject, then predicate
+    smap = traces_lex.space_map
+    subjects = [t for _, t in known_inhabitants(Signature((smap.entity,)), traces_lex)]
+    predicates = [t for _, t in known_inhabitants(et_sig(traces_lex), traces_lex)]
+    eager = direct_sum([contract(f, a, [(0, 0)]) for f in predicates for a in subjects])
+    compile_root(tree, traces_lex, "direct_sum")  # warm the stand-ins
+    calls = []
+    real = parser_module.contract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parser_module, "contract", counting)
+    lazy = compile_root(tree, traces_lex, "direct_sum")
+    assert len(calls) == 1  # the collapsed pass, as under sum
+    assert len(lazy) == len(lazy.components) == len(eager) > 1 and len(calls) == 1
+    assert lazy.signature == eager.signature
+    assert lazy.collapse() == eager.collapse()
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert list(lazy) == list(eager)
+    assert lazy[1] == eager[1] and lazy[-1] == eager[-1]
+    assert lazy[-len(eager)] == eager[0]
+    assert lazy.components[1:4] == eager.components[1:4]
+    assert lazy.components[::-2] == eager.components[::-2]
+    for out_of_range in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            lazy[out_of_range]
+    with pytest.raises(AttributeError):
+        lazy.components = eager.components
+    with pytest.raises(TypeError):
+        lazy.components[0] = eager[0]
 
 
 def test_compile_axiom(base_lex):

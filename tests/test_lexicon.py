@@ -267,6 +267,16 @@ def test_load_rejects_wrong_tensor_shape(tmp_path):
     assert "a#n" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", ["true", "NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_rejects_boolean_and_non_finite_entries(tmp_path, entry):
+    p = _write(tmp_path, _minimal_doc())
+    p.write_text(p.read_text(encoding="utf-8").replace("[1, 2]", f"[1, {entry}]"),
+                 encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_lexicon(p)
+    assert "a#n" in str(err.value)
+
+
 def test_load_rejects_duplicate_sense_ids(tmp_path):
     doc = _minimal_doc()
     doc["senses"].append(dict(doc["senses"][0]))

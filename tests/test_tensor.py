@@ -194,42 +194,6 @@ def test_direct_sum_keeps_components():
         direct_sum([x, Tensor(Signature((B,)), [1, 2, 3])])
 
 
-def test_pairwise_tuples_build_components_on_demand():
-    rng = random.Random(5)
-    xs = direct_sum([rand_tensor(rng, Signature((A, B))) for _ in range(3)])
-    ys = direct_sum([rand_tensor(rng, Signature((B,))) for _ in range(2)])
-    calls = []
-
-    def op(a, b):
-        calls.append((a, b))
-        return contract(a, b, [(1, 0)])
-
-    lazy = TensorTuple.pairwise(op, xs, ys)
-    assert len(calls) == 1 and calls[0] == (xs.collapse(), ys.collapse())
-    eager = direct_sum([op(a, b) for a in xs for b in ys])
-    del calls[:]
-    assert len(lazy) == len(lazy.components) == 6 and not calls
-    assert lazy.signature == Signature((A,))
-    assert lazy.collapse() == eager.collapse()
-    assert lazy == eager and hash(lazy) == hash(eager)
-    assert list(lazy) == list(eager)
-    assert lazy[4] == op(xs[2], ys[0]) and lazy[-1] == eager[5]
-    assert lazy.components[1:4] == eager.components[1:4]
-    with pytest.raises(IndexError):
-        lazy[6]
-    with pytest.raises(AttributeError):
-        lazy.components = eager.components
-    # a tensor operand counts as a one-component tuple, on either side
-    x = xs[0]
-    assert list(TensorTuple.pairwise(op, x, ys)) == [op(x, y) for y in ys]
-    nested = TensorTuple.pairwise(mu, lazy, TensorTuple.pairwise(mu, lazy[0], lazy))
-    assert len(nested) == 36
-    assert nested[7] == mu(lazy[1], mu(lazy[0], lazy[1]))
-    assert nested.collapse() == sum_tensors(list(nested))
-    with pytest.raises(SignatureMismatch):
-        TensorTuple.pairwise(mu, xs, ys)
-
-
 def test_unit_tensor():
     u = unit_tensor(Signature((A, B)))
     assert u.tolist() == [[1, 1, 1], [1, 1, 1]]
