@@ -30,7 +30,6 @@ an excerpt or it does not, multiplicity is ignored.
 from __future__ import annotations
 
 import json
-import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -217,6 +216,8 @@ class Sense:
 class Lexicon:
     """An ordered collection of senses over a fixed pair of spaces.
 
+    The sentence space has two basis labels: evidence for, then against.
+
     stand_ins is derived data, not part of the lexicon's value: the
     interpreter fills it lazily with one stand-in per (signature,
     strategy), which is sound because a lexicon never changes.
@@ -233,6 +234,12 @@ class Lexicon:
         object.__setattr__(self, "senses", tuple(self.senses))
         if not self.senses:
             raise ValidationError("a lexicon must declare at least one sense")
+        sentence = self.space_map.sentence
+        if sentence.dim != 2:
+            raise ValidationError(
+                f"sentence space {sentence.name!r} must have exactly 2 basis "
+                f"labels (evidence for, against), got {sentence.dim}"
+            )
         seen = set()
         for s in self.senses:
             if s.sense_id in seen:
@@ -274,19 +281,18 @@ class Lexicon:
 
 
 def _bad_entry(values):
-    """The first boolean or non-finite entry in nested tensor lists, or None.
-
-    json reads true as a bool that numpy would count as 1, and reads NaN,
-    Infinity and float literals too large for a double (1e999) as
-    non-finite floats, which score as nan; neither is a count.
-    """
+    """The first entry in nested tensor lists that numpy would turn into
+    another number without complaint, or None: a boolean beside numbers
+    (counted as 1) or an integer outside int64 (made a float, or past
+    2**64 an object array refused without naming the entry).  Tensor
+    refuses the rest: non-finite floats, from NaN, Infinity or 1e999."""
     if isinstance(values, list):
         for v in values:
             bad = _bad_entry(v)
             if bad is not None:
                 return bad
         return None
-    if isinstance(values, bool) or (isinstance(values, float) and not math.isfinite(values)):
+    if isinstance(values, bool) or (isinstance(values, int) and not -2**63 <= values < 2**63):
         return values
     return None
 
@@ -322,7 +328,7 @@ def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
         raise ParseError(f"senses[{pos}] ({sid}): missing required field 'tensor'")
     bad = _bad_entry(obj["tensor"])
     if bad is not None:
-        kind = "a boolean" if isinstance(bad, bool) else "not a finite number"
+        kind = "a boolean" if isinstance(bad, bool) else "outside the int64 range"
         raise ValidationError(f"sense {sid!r}: bad tensor: entry {json.dumps(bad)} is {kind}")
     sig = signature_of(ty, smap)
     try:
@@ -337,8 +343,9 @@ def load_lexicon(path) -> Lexicon:
 
     Syntax problems raise ParseError with file and position information;
     well-formed files that break a consistency rule (duplicate sense ids,
-    tensors that do not fit their type, boolean or non-finite tensor
-    entries) raise ValidationError naming the offending sense.
+    tensors that do not fit their type, tensor entries that are booleans,
+    non-finite or integers outside int64, a sentence space not of 2
+    labels) raise ValidationError naming the offending sense or space.
     """
     p = Path(path)
     try:

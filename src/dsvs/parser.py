@@ -1,20 +1,22 @@
 """Word-by-word growth of semantic trees.
 
 A tree starts as a single node requiring a proposition and grows as words
-are consumed.  Nodes carry a semantic type, a requirement flag (the node
-still awaits content), possibly a formula (a tensor), and up to three
-outgoing edges: an argument daughter, a functor daughter, and an adjunct
-(link) tree hanging off the node sideways.
+are consumed.  Nodes carry a semantic type, possibly a formula (a tensor),
+and up to three outgoing edges: an argument daughter, a functor daughter,
+and an adjunct (link) tree hanging off the node sideways.  A node without
+a formula is a requirement: it still awaits content.  Every growth gives
+a leaf an argument daughter, which takes the pointer, and a functor one.
 
-Between words the tree saturates: a pointed bare proposition requirement
-grows argument and functor daughters, and any node whose daughters both
-carry formulae receives the contraction of functor against argument.  At
+After each word the tree saturates: a pointed bare proposition
+requirement grows (prediction), and any node whose daughters both carry
+formulae receives the contraction of functor against argument.  At
 proposition nodes the contraction is additionally multiplied entrywise
 with the root formula of every finished adjunct tree in the clause.
 That rule lives in evaluate, which composes plain tensors only, by
 contract and mu.  interpret also uses it to value unfinished trees with
 stand-ins at their unmet requirements, and builds direct_sum roots from
-it by re-evaluating the tree once per choice of alternatives.
+it by re-evaluating the tree once per choice of alternatives.  A tree is
+valued once per word: pointer travel only predicts.
 
 The pointer marks where the next word may act.  It can travel up from a
 finished node to its mother (also crossing from a finished adjunct root
@@ -39,9 +41,11 @@ ET = fn(E, T)
 
 @dataclass(frozen=True)
 class Node:
+    """One tree node.  Its formula is its only state: a node without one
+    is a requirement, a node with one is complete."""
+
     node_id: int
     sem_type: SemType
-    requirement: bool
     formula: Tensor | None = None
     argument: int | None = None
     functor: int | None = None
@@ -49,8 +53,12 @@ class Node:
     parent: int | None = None
 
     @property
+    def requirement(self) -> bool:
+        return self.formula is None
+
+    @property
     def complete(self) -> bool:
-        return not self.requirement and self.formula is not None
+        return self.formula is not None
 
     @property
     def is_leaf(self) -> bool:
@@ -65,9 +73,6 @@ class Tree:
     pointer: int
     root: int = 0
 
-    def node(self, i: int) -> Node:
-        return self.nodes[i]
-
     @property
     def pointed(self) -> Node:
         return self.nodes[self.pointer]
@@ -81,16 +86,13 @@ class Tree:
         return Tree(self.nodes, i, self.root)
 
     def is_complete(self) -> bool:
-        """No unmet requirements anywhere, and a vector at the root."""
-        if _has_requirement(self, self.root):
-            return False
-        r = self.nodes[self.root]
-        return r.formula is not None and r.formula.rank == 1
+        """No unmet requirements anywhere, so a vector at the root."""
+        return not _has_requirement(self, self.root)
 
 
 def axiom() -> Tree:
     """The starting tree: one pointed node requiring a proposition."""
-    return Tree((Node(0, T, requirement=True),), pointer=0)
+    return Tree((Node(0, T),), pointer=0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +105,7 @@ def _has_requirement(tree: Tree, top: int) -> bool:
         n = tree.nodes[stack.pop()]
         if n.requirement:
             return True
-        for c in (n.argument, n.functor, n.link):
-            if c is not None:
-                stack.append(c)
+        stack.extend(c for c in (n.argument, n.functor, n.link) if c is not None)
     return False
 
 
@@ -188,30 +188,39 @@ def _evaluate_subtree(nodes, values: list, i: int, fill) -> tuple[bool, list[int
     return finished and arg_finished and fun_finished, folds
 
 
-def saturate(tree: Tree) -> Tree:
-    """Grow the pointed node if it asks for it, then value every node.
+def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
+    """Grow the leaf with id at into an argument and a functor daughter,
+    each a (type, formula) pair; the argument takes the pointer."""
+    base = len(tree.nodes)
+    nodes = list(tree.nodes)
+    nodes[at] = _dc_replace(nodes[at], argument=base, functor=base + 1)
+    nodes.append(Node(base, *argument, parent=at))
+    nodes.append(Node(base + 1, *functor, parent=at))
+    return Tree(tuple(nodes), pointer=base, root=tree.root)
 
-    A pointed bare proposition requirement grows an entity requirement
-    daughter (taking the pointer) and a predicate requirement daughter.
-    One evaluate pass without stand-ins then values the tree; each
-    internal node that gets a value stores it as its formula and loses
-    its requirement.
-    """
+
+def _predict(tree: Tree) -> Tree:
+    """Sprout a pointed bare proposition requirement into an entity
+    requirement (taking the pointer) and a predicate requirement; any
+    other tree comes back as it is."""
     p = tree.pointed
-    if p.requirement and p.sem_type == T and p.is_leaf and p.formula is None:
-        base = len(tree.nodes)
-        nodes = list(tree.nodes)
-        nodes[p.node_id] = _dc_replace(p, argument=base, functor=base + 1)
-        nodes.append(Node(base, E, requirement=True, parent=p.node_id))
-        nodes.append(Node(base + 1, ET, requirement=True, parent=p.node_id))
-        tree = Tree(tuple(nodes), pointer=base, root=tree.root)
+    if p.requirement and p.sem_type == T and p.is_leaf:
+        return _sprout(tree, p.node_id, (E, None), (ET, None))
+    return tree
+
+
+def saturate(tree: Tree) -> Tree:
+    """Predict at the pointed node, then value every node.
+
+    One evaluate pass without stand-ins values the tree; each internal
+    node that gets a value stores it as its formula.  parse_word keeps
+    only saturated trees, on which this changes nothing.
+    """
+    tree = _predict(tree)
     values = evaluate(tree)
-    nodes = [
-        n if n.is_leaf or values[n.node_id] is None
-        else _dc_replace(n, requirement=False, formula=values[n.node_id])
-        for n in tree.nodes
-    ]
-    return Tree(tuple(nodes), tree.pointer, tree.root)
+    nodes = tuple(n if n.is_leaf or v is None else _dc_replace(n, formula=v)
+                  for n, v in zip(tree.nodes, values))
+    return Tree(nodes, tree.pointer, tree.root)
 
 
 def canonical_view(tree: Tree) -> Tree:
@@ -234,28 +243,24 @@ def canonical_view(tree: Tree) -> Tree:
 def apply_computational(tree: Tree) -> list[Tree]:
     """All trees reachable from here without consuming a word.
 
-    Saturates, then enumerates every position the pointer can travel to:
-    up from a finished node to its mother (or from a finished adjunct root
-    to its host), down into any subtree that still has requirements.  The
-    stored position comes first; a tree with nothing to do comes back as a
-    single unchanged variant.
+    Takes a tree as parse_word leaves it, or the axiom, and predicts but
+    values nothing: a caller holding another tree saturates it first.
+    Then lists, breadth first, every position the pointer can travel to:
+    up from a finished node to its mother (or from a finished adjunct
+    root to its host), down into any subtree that still has requirements.
+    The stored position comes first; a tree with nothing to do comes
+    back as a single unchanged variant.
     """
-    t = saturate(tree)
+    t = _predict(tree)
     seen = [t.pointer]
-    queue = [t.pointer]
-    while queue:
-        i = queue.pop(0)
+    for i in seen:
         n = t.nodes[i]
-        moves = []
-        if n.complete and n.parent is not None:
-            moves.append(n.parent)
-        for c in (n.argument, n.functor, n.link):
-            if c is not None and _has_requirement(t, c):
-                moves.append(c)
+        moves = [n.parent] if n.complete and n.parent is not None else []
+        moves += [c for c in (n.argument, n.functor, n.link)
+                  if c is not None and _has_requirement(t, c)]
         for m in moves:
             if m not in seen:
                 seen.append(m)
-                queue.append(m)
     return [t.with_pointer(p) for p in seen]
 
 
@@ -279,21 +284,11 @@ def apply_link(tree: Tree, relative_pronoun: bool = True) -> list[Tree]:
             f"(needs a finished entity node with no adjunct yet)"
         )
     base = len(tree.nodes)
-    nodes = list(tree.nodes)
+    hung = tree.with_node(_dc_replace(p, link=base))
+    linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base, tree.root)
     if relative_pronoun:
-        nodes[p.node_id] = _dc_replace(p, link=base)
-        nodes.append(
-            Node(base, T, requirement=True, argument=base + 1, functor=base + 2,
-                 parent=p.node_id)
-        )
-        nodes.append(
-            Node(base + 1, E, requirement=False, formula=p.formula, parent=base)
-        )
-        nodes.append(Node(base + 2, ET, requirement=True, parent=base))
-        return [Tree(tuple(nodes), pointer=base + 1, root=tree.root)]
-    nodes[p.node_id] = _dc_replace(p, link=base)
-    nodes.append(Node(base, T, requirement=True, parent=p.node_id))
-    return [Tree(tuple(nodes), pointer=base, root=tree.root)]
+        linked = _sprout(linked, base, (E, p.formula), (ET, None))
+    return [linked]
 
 
 def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
@@ -313,25 +308,15 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
             return None
 
     p = tree.pointed
-    if not (p.requirement and p.is_leaf and p.formula is None):
+    if not (p.requirement and p.is_leaf):
         return None
     ty = sense.sem_type
 
     if ty == p.sem_type:
-        return tree.with_node(
-            _dc_replace(p, requirement=False, formula=sense.tensor)
-        )
+        return tree.with_node(_dc_replace(p, formula=sense.tensor))
 
     if ty.is_function and ty.res == p.sem_type and p.sem_type.is_function:
-        base = len(tree.nodes)
-        nodes = list(tree.nodes)
-        nodes[p.node_id] = _dc_replace(p, argument=base, functor=base + 1)
-        nodes.append(Node(base, ty.arg, requirement=True, parent=p.node_id))
-        nodes.append(
-            Node(base + 1, ty, requirement=False, formula=sense.tensor,
-                 parent=p.node_id)
-        )
-        return Tree(tuple(nodes), pointer=base, root=tree.root)
+        return _sprout(tree, p.node_id, (ty.arg, None), (ty, sense.tensor))
 
     return None
 

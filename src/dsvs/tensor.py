@@ -6,8 +6,9 @@ signature with a dense numpy array of matching shape.  Order matters
 throughout: a signature (W, S, W) is not the same object as (W, W, S).
 
 Integer-valued input is stored as int64 so that arithmetic on small count
-data stays exact; everything else is carried as float64.  Arrays are copied
-on construction and marked read-only, so tensors behave as values.
+data stays exact; everything else is carried as float64; booleans,
+non-finite floats and integers outside int64 are refused.  Arrays are
+copied on construction and marked read-only, so tensors behave as values.
 
 All operations here are dense.  Contraction of tensors with n and m slots,
 k of them paired, costs on the order of the product of all involved
@@ -90,9 +91,14 @@ class Signature:
 
 def _freeze(values) -> np.ndarray:
     arr = np.array(values)
-    if arr.dtype.kind in "iub":
+    if arr.dtype.kind in "iu":
+        if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"tensor entry {arr.max()} is outside the int64 range")
         arr = arr.astype(np.int64)
     elif arr.dtype.kind == "f":
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"tensor entry {arr[~finite][0]} is not a finite number")
         arr = arr.astype(np.float64)
     else:
         raise TypeError(f"tensor entries must be numeric, got dtype {arr.dtype}")

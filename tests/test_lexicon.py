@@ -170,6 +170,14 @@ def test_lexicon_validation():
     assert "v#v" in str(err.value)
 
 
+def test_lexicon_requires_a_two_point_sentence_space():
+    s3 = Space("S", (TOP, BOTTOM, "?"))
+    v = Sense("v#v", "v", parse_type("et"), Tensor(Signature((W, s3)), [[1, 2, 3]] * 2))
+    with pytest.raises(ValidationError) as err:
+        Lexicon((W, s3), SpaceMap(entity=W, sentence=s3), (v,))
+    assert "'S'" in str(err.value)
+
+
 def test_lookup_covers_word_and_forms_in_declaration_order(split_lex):
     ids = [s.sense_id for s in split_lex.lookup("dribble")]
     assert ids == ["dribble#drip", "dribble#control"]
@@ -275,6 +283,17 @@ def test_load_rejects_boolean_and_non_finite_entries(tmp_path, entry):
     with pytest.raises(ValidationError) as err:
         load_lexicon(p)
     assert "a#n" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", [str(2**63), str(2**64), str(-2**63 - 1)])
+def test_load_rejects_integers_outside_int64(tmp_path, entry):
+    # 2**63 beside a small int would load as a float, 2**64 as an object array
+    p = _write(tmp_path, _minimal_doc())
+    p.write_text(p.read_text(encoding="utf-8").replace("[1, 2]", f"[{entry}, 1]"),
+                 encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_lexicon(p)
+    assert "a#n" in str(err.value) and entry in str(err.value)
 
 
 def test_load_rejects_duplicate_sense_ids(tmp_path):

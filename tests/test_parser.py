@@ -100,6 +100,30 @@ def test_saturation_contracts_each_internal_node_at_most_once(
     assert len(calls) <= sum(not n.is_leaf for n in t.nodes)
 
 
+@pytest.mark.parametrize("sentence", [
+    "mary who likes john snores",
+    "mary likes john who sleeps",
+    "john who sleeps likes mary",
+])
+def test_pointer_travel_contracts_nothing(sentence, traces_lex, monkeypatch):
+    # parse_word keeps saturated trees, so travel has nothing to value
+    calls = []
+    real = parser_module.contract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parser_module, "contract", counting)
+    state = initial_state()
+    for word in sentence.split():
+        state = parse_word(state, word, traces_lex)
+        before = len(calls)
+        for cand in state.candidates:
+            apply_computational(cand.tree)
+        assert len(calls) == before
+
+
 def test_evaluation_leaves_no_reference_cycles(traces_lex):
     # a cycle would keep every node value alive until the collector runs
     tree = first_tree(after("mary who likes john", traces_lex))

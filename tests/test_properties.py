@@ -39,6 +39,7 @@ from dsvs import (
     Tensor,
     TensorTuple,
     application_slot,
+    apply_computational,
     axiom,
     compile_root,
     disambiguate,
@@ -179,6 +180,23 @@ def test_every_candidate_is_saturated_and_strategies_agree(drawn):
             if isinstance(kept, TensorTuple):
                 kept = kept.collapse()
             assert kept == compile_root(cand.tree, lex, "sum")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sentences())
+def test_kept_trees_are_fixed_points_of_saturation(drawn):
+    # apply_computational only predicts, which is sound on these trees alone
+    name, words = drawn
+    lex = LEXICONS[name]
+    state = initial_state()
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        for cand in state.candidates:
+            assert saturate(cand.tree) == cand.tree
+            assert apply_computational(cand.tree) == apply_computational(saturate(cand.tree))
 
 
 @settings(max_examples=60, deadline=None, database=None)

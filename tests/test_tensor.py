@@ -57,6 +57,17 @@ def test_tensor_shape_checked():
     assert t.entry("a2", "b1") == 4
 
 
+@pytest.mark.parametrize("values", [
+    [float("nan"), 1.0],
+    [1.0, float("-inf")],
+    np.array([True, False]),
+    [2**63, 2**63 + 1],  # numpy reads these as uint64, which int64 would wrap
+])
+def test_tensor_refuses_entries_that_are_not_counts(values):
+    with pytest.raises((TypeError, ValueError)):
+        Tensor(Signature((A,)), values)
+
+
 def test_tensor_integer_entries_stay_exact():
     t = Tensor(Signature((A,)), [2**40, -(2**40)])
     assert t.array.dtype == np.int64
