@@ -14,9 +14,14 @@ substituting a stand-in for each requirement leaf according to a strategy:
 
 "Known tensors of a signature" means lexicon formulae of that signature
 plus every one-argument saturation of a lexicon function against a lexicon
-entity that lands in it.  A lexicon never changes, so each stand-in is
-built once per lexicon, signature and strategy, on first use, and kept in
-the lexicon's stand_ins.
+entity that lands in it.  known_inhabitants lists them lazily, as a
+labelled inventory whose saturations are contracted only when read.
+Contraction is bilinear, so the sum stand-in needs no enumeration: it is
+the lexicon formulae plus one contraction of summed functions against
+summed entities per function signature, which makes it linear in
+lexicon size.  A lexicon never changes, so each stand-in is built once
+per lexicon, signature and strategy, on first use, and kept in the
+lexicon's stand_ins.
 
 parser.evaluate composes plain tensors only; the direct_sum rule lives
 here, in compile_root.  Contraction and mu are multilinear, so a
@@ -48,7 +53,6 @@ from .tensor import (
     Tensor,
     TensorTuple,
     contract,
-    direct_sum,
     sum_tensors,
     unit_tensor,
 )
@@ -56,7 +60,7 @@ from .tensor import (
 STRATEGIES = ("unit", "sum", "direct_sum")
 
 
-def known_inhabitants(signature: Signature, lexicon: Lexicon) -> list[tuple[str, Tensor]]:
+def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     """Labelled tensors of a signature derivable from the lexicon.
 
     Lexicon formulae of the signature come first, in declaration order,
@@ -66,32 +70,113 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> list[tuple[str,
     adds no slot, so that result signature is the function's own minus
     the application slot, known before contracting.  Saturations are
     labelled "function+argument".
+
+    The result is a read-only lazy sequence of (label, tensor) pairs:
+    finding the senses contracts nothing, a saturation is contracted when
+    its item is read, and Inventory.total gives the sum of every item in
+    closed form.
     """
-    found: list[tuple[str, Tensor]] = []
+    direct, functions, entities = [], [], []
     for s in lexicon.senses:
-        if s.tensor is not None and s.tensor.signature == signature:
-            found.append((s.sense_id, s.tensor))
-    for f in lexicon.senses:
-        if f.tensor is None or not f.sem_type.is_function:
+        if s.tensor is None:
             continue
-        slot = application_slot(f.sem_type)
-        spaces = f.tensor.signature.spaces
-        if Signature(spaces[:slot] + spaces[slot + 1:]) != signature:
-            continue
-        for a in lexicon.senses:
-            if a.tensor is None or a.sem_type != E:
-                continue
-            saturated = contract(f.tensor, a.tensor, [(slot, 0)])
-            found.append((f"{f.sense_id}+{a.sense_id}", saturated))
-    return found
+        spaces = s.tensor.signature.spaces
+        if s.sem_type == E:
+            entities.append(s)
+        elif s.sem_type.is_function and len(spaces) == len(signature) + 1:
+            slot = application_slot(s.sem_type)
+            if Signature(spaces[:slot] + spaces[slot + 1:]) == signature:
+                functions.append((s, slot))
+        if spaces == signature.spaces:
+            direct.append((s.sense_id, s.tensor))
+    return Inventory(tuple(direct), tuple(functions), tuple(entities))
+
+
+class _Lazy(Sequence):
+    """A read-only sequence whose items are computed when read.
+
+    Subclasses give __len__ and _item(i) for 0 <= i < len(self); indexing
+    here adds negative indices, slices (as tuples) and IndexError.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._item(k) for k in range(len(self))[i])
+        return self._item(range(len(self))[i])
+
+
+class Inventory(_Lazy):
+    """The labelled tensors of one signature, as known_inhabitants lists them.
+
+    direct holds (sense id, tensor) for the lexicon formulae of the
+    signature, functions holds (sense, application slot) for the function
+    senses whose result lands in it, entities the entity senses.  Items
+    are direct first, then one saturation per (function, entity) pair,
+    function-major; a saturation is contracted each time it is read.
+    """
+
+    __slots__ = ("_direct", "_functions", "_entities")
+
+    def __init__(self, direct, functions, entities):
+        self._direct, self._functions, self._entities = direct, functions, entities
+
+    def __len__(self):
+        return len(self._direct) + len(self._functions) * len(self._entities)
+
+    def _item(self, i):
+        if i < len(self._direct):
+            return self._direct[i]
+        k, j = divmod(i - len(self._direct), len(self._entities))
+        (f, slot), a = self._functions[k], self._entities[j]
+        return f"{f.sense_id}+{a.sense_id}", contract(f.tensor, a.tensor, [(slot, 0)])
+
+    def total(self) -> Tensor:
+        """Entrywise sum of every item (there must be one), in closed form.
+
+        Contraction is bilinear, so the saturations of a group of
+        functions sharing an application slot sum to one contraction:
+        contract(sum of the group, sum of the entities).  Every function
+        here lands in one signature with the entity space at its slot, so
+        sharing a slot means sharing a signature.  The total is the direct
+        tensors plus one such term per group, in order of first appearance.
+        """
+        parts = [t for _, t in self._direct]
+        groups: dict[int, list[Tensor]] = {}
+        for f, slot in self._functions:
+            groups.setdefault(slot, []).append(f.tensor)
+        if groups and self._entities:
+            argument = sum_tensors([a.tensor for a in self._entities])
+            for slot, group in groups.items():
+                parts.append(contract(sum_tensors(group), argument, [(slot, 0)]))
+        return sum_tensors(parts)
+
+
+class _Tensors(_Lazy):
+    """An inventory's tensors without their labels, read through it."""
+
+    __slots__ = ("_inventory",)
+
+    def __init__(self, inventory: Inventory):
+        self._inventory = inventory
+
+    def __len__(self):
+        return len(self._inventory)
+
+    def _item(self, i):
+        return self._inventory._item(i)[1]
 
 
 def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
     """Stand-in value for a requirement of the given signature.
 
-    Built once per lexicon, signature and strategy, then served from
-    lexicon.stand_ins; tensors are immutable, so sharing them is safe.
-    Failures are not remembered and raise again on every call.
+    sum is the inventory's closed-form total, direct_sum the inventory's
+    tensors as a lazy TensorTuple collapsing to that total, so neither
+    enumerates the lexicon's (function, entity) pairs.  Built once per
+    lexicon, signature and strategy, then served from lexicon.stand_ins;
+    tensors are immutable, so sharing them is safe.  Failures are not
+    remembered and raise again on every call.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -102,10 +187,12 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
     if strategy == "unit":
         value = unit_tensor(signature)
     else:
-        tensors = [t for _, t in known_inhabitants(signature, lexicon)]
-        if not tensors:
+        inventory = known_inhabitants(signature, lexicon)
+        if not len(inventory):
             raise NoInhabitants(f"lexicon has no tensors of signature {signature!r}")
-        value = sum_tensors(tensors) if strategy == "sum" else direct_sum(tensors)
+        value = inventory.total()
+        if strategy == "direct_sum":
+            value = TensorTuple(_Tensors(inventory), collapsed=value)
     lexicon.stand_ins[key] = value
     return value
 
@@ -144,7 +231,7 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     return TensorTuple(_Choices(tree, open_leaves[::-1]), collapsed=root)
 
 
-class _Choices(Sequence):
+class _Choices(_Lazy):
     """The components of a direct_sum root, each evaluated when read.
 
     leaves holds (node id, alternatives) per open leaf, first leaf most
@@ -160,10 +247,7 @@ class _Choices(Sequence):
     def __len__(self):
         return prod(len(alternatives) for _, alternatives in self._leaves)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self))[i])
-        i = range(len(self))[i]
+    def _item(self, i):
         chosen = {}
         for node_id, alternatives in reversed(self._leaves):
             i, digit = divmod(i, len(alternatives))

@@ -280,23 +280,6 @@ class Lexicon:
 # file format
 
 
-def _bad_entry(values):
-    """The first entry in nested tensor lists that numpy would turn into
-    another number without complaint, or None: a boolean beside numbers
-    (counted as 1) or an integer outside int64 (made a float, or past
-    2**64 an object array refused without naming the entry).  Tensor
-    refuses the rest: non-finite floats, from NaN, Infinity or 1e999."""
-    if isinstance(values, list):
-        for v in values:
-            bad = _bad_entry(v)
-            if bad is not None:
-                return bad
-        return None
-    if isinstance(values, bool) or (isinstance(values, int) and not -2**63 <= values < 2**63):
-        return values
-    return None
-
-
 def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
     if not isinstance(obj, dict):
         raise ParseError(f"senses[{pos}]: expected an object")
@@ -326,10 +309,6 @@ def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
         raise ParseError(f"senses[{pos}] ({sid}): unrecognised type {tyname!r}")
     if "tensor" not in obj:
         raise ParseError(f"senses[{pos}] ({sid}): missing required field 'tensor'")
-    bad = _bad_entry(obj["tensor"])
-    if bad is not None:
-        kind = "a boolean" if isinstance(bad, bool) else "outside the int64 range"
-        raise ValidationError(f"sense {sid!r}: bad tensor: entry {json.dumps(bad)} is {kind}")
     sig = signature_of(ty, smap)
     try:
         tensor = Tensor(sig, obj["tensor"])

@@ -89,7 +89,23 @@ class Signature:
         return "Signature(" + " @ ".join(s.name for s in self.spaces) + ")"
 
 
+def _check_entries(values) -> None:
+    """Refuse what numpy would make another number without complaint when
+    it builds an array from nested lists: a boolean beside numbers (counted
+    as 1) and an integer outside int64 (made a float, or past 2**64 an
+    object array)."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            _check_entries(v)
+        elif isinstance(v, (bool, np.bool_)):
+            raise TypeError(f"tensor entry {v} is a boolean, not a number")
+        elif isinstance(v, int) and not -2**63 <= v < 2**63:
+            raise ValueError(f"tensor entry {v} is outside the int64 range")
+
+
 def _freeze(values) -> np.ndarray:
+    if isinstance(values, (list, tuple)):
+        _check_entries(values)
     arr = np.array(values)
     if arr.dtype.kind in "iu":
         if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
@@ -163,8 +179,8 @@ class TensorTuple:
 
     A caller that already knows that sum may pass it as collapsed; the
     components may then be any read-only sequence, lazy ones included, and
-    are taken on trust to sum to it.  interpret.compile_root builds its
-    direct_sum roots this way.  Either way the value is immutable.
+    are taken on trust to sum to it.  interpret builds its direct_sum
+    stand-ins and roots this way.  Either way the value is immutable.
     """
 
     __slots__ = ("_components", "_collapsed")

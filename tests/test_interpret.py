@@ -1,8 +1,11 @@
 from dataclasses import replace
+from math import prod
 
+import numpy as np
 import pytest
 
 import oracles
+from dsvs import interpret as interpret_module
 from dsvs import parser as parser_module
 from dsvs import (
     BOTTOM,
@@ -33,6 +36,7 @@ from dsvs import (
     plausibility,
     saturate,
     score_candidate,
+    signature_of,
     underspec_tensor,
     unit_tensor,
 )
@@ -127,6 +131,52 @@ def test_each_stand_in_is_built_once_per_lexicon(monkeypatch):
         once = built[fills:]
         assert once and len(once) == len(set(once))
         assert {k for k in lex.stand_ins if k[1] == strategy} == {(s, strategy) for s in once}
+
+
+def _counted_lexicon(k):
+    """k nouns, k one-place and k two-place verbs over a 3-point entity space."""
+    w, s = Space("W", ("x", "y", "z")), Space("S", (TOP, BOTTOM))
+    senses = [Sense("who#rel", "who", None, None)]
+    for kind, sig in (("e", (w,)), ("et", (w, s)), ("eet", (w, s, w))):
+        size = prod(sp.dim for sp in sig)
+        for i in range(k):
+            entries = [(7 * i + j) % 4 for j in range(size)]
+            tensor = Tensor(Signature(sig), np.reshape(entries, [sp.dim for sp in sig]))
+            senses.append(Sense(f"{kind}{i}", f"{kind}{i}", parse_type(kind), tensor))
+    return Lexicon((w, s), SpaceMap(entity=w, sentence=s), tuple(senses))
+
+
+def test_sum_stand_ins_cost_one_contraction_per_function_signature(monkeypatch):
+    calls = []
+    real = interpret_module.contract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(interpret_module, "contract", counting)
+    counts = []
+    for k in (10, 100):
+        lex = _counted_lexicon(k)
+        before = len(calls)
+        for kind in ("e", "t", "et"):
+            sig = signature_of(parse_type(kind), lex.space_map)
+            listed = len(calls)
+            assert len(known_inhabitants(sig, lex)) > 0 and len(calls) == listed
+            underspec_tensor(sig, "sum", lex)
+        counts.append(len(calls) - before)
+    assert counts == [2, 2]  # t from the et verbs, et from the eet verbs
+
+
+def test_functions_without_entities_have_no_inhabitants():
+    w, s = Space("W", ("x", "y")), Space("S", (TOP, BOTTOM))
+    verb = Sense("v#v", "v", parse_type("et"), Tensor(Signature((w, s)), [[1, 2], [3, 4]]))
+    lex = Lexicon((w, s), SpaceMap(entity=w, sentence=s), (verb,))
+    sig = Signature((s,))
+    assert len(known_inhabitants(sig, lex)) == 0 and list(known_inhabitants(sig, lex)) == []
+    for strategy in ("sum", "direct_sum"):
+        with pytest.raises(NoInhabitants):
+            underspec_tensor(sig, strategy, lex)
 
 
 def test_memoised_stand_ins_are_shared_and_read_only():

@@ -53,6 +53,7 @@ from dsvs import (
     plausibility,
     saturate,
     signature_of,
+    underspec_tensor,
 )
 
 LEXICONS = {name: load_lexicon(fixture_path(name)) for name in ("traces", "split_senses")}
@@ -271,6 +272,23 @@ def test_direct_sum_roots_match_the_eager_product_on_random_lexicons(drawn):
             return
         for cand in state.candidates:
             _check_direct_sum(cand.tree, lex)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(random_lexicons())
+def test_closed_form_stand_ins_equal_the_enumerated_inventory(drawn):
+    lex, _ = drawn
+    for kind in ("e", "t", "et", "eet"):
+        sig = signature_of(parse_type(kind), lex.space_map)
+        listed = [t.tolist() for _, t in known_inhabitants(sig, lex)]
+        want = listed[0]
+        for entries in listed[1:]:
+            want = oracles.add_lists(want, entries)
+        summed = underspec_tensor(sig, "sum", lex)
+        kept = underspec_tensor(sig, "direct_sum", lex)
+        assert summed.tolist() == want
+        assert [t.tolist() for t in kept.components] == listed
+        assert kept.collapse() == summed
 
 
 def test_direct_sum_scores_with_the_contractions_of_sum(monkeypatch):

@@ -68,6 +68,19 @@ def test_tensor_refuses_entries_that_are_not_counts(values):
         Tensor(Signature((A,)), values)
 
 
+@pytest.mark.parametrize("values, bad", [
+    ([1, True], "True"),  # numpy would give int64 [1, 1]
+    ([1.5, True], "True"),  # float64 [1.5, 1.0]
+    ([2**63, 1], str(2**63)),  # float64 [9.223372036854776e+18, 1.0]
+    ([[1, 2], (3, -2**63 - 1)], str(-2**63 - 1)),
+])
+def test_tensor_refuses_list_entries_numpy_would_convert(values, bad):
+    sig = Signature((A,) * (2 if isinstance(values[0], list) else 1))
+    with pytest.raises((TypeError, ValueError)) as err:
+        Tensor(sig, values)
+    assert bad in str(err.value)
+
+
 def test_tensor_integer_entries_stay_exact():
     t = Tensor(Signature((A,)), [2**40, -(2**40)])
     assert t.array.dtype == np.int64
