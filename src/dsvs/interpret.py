@@ -5,8 +5,8 @@ first coordinate is evidence for the sentence, the second against, and the
 ratio top / (top + bottom) is the plausibility read off it.
 
 An unfinished tree still denotes something: every unmet requirement stands
-for a value not yet heard.  compile_root rebuilds the root value bottom-up,
-substituting a stand-in for each requirement leaf according to a strategy:
+for a value not yet heard.  compile_root values the nodes storing no
+formula bottom-up, with a stand-in at each requirement leaf by strategy:
 
     unit        the all-ones tensor of the right signature
     sum         the entrywise sum of every known tensor of that signature
@@ -30,8 +30,8 @@ each open leaf, and the sum of those values is the tree evaluated once
 with each leaf's alternatives summed, which is the sum stand-in.
 compile_root makes that one collapsed pass, so scoring a direct_sum root
 costs what scoring a sum root does and on float lexicons gives the same
-ratio bit for bit, and it re-evaluates the tree for a component only
-when someone reads it.
+ratio bit for bit, and it re-evaluates the open spine for a component
+only when someone reads it.
 
 On those root values the module ranks: disambiguate orders a state's live
 candidates by plausibility, expect orders candidate next words by the
@@ -200,16 +200,16 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
 def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     """Root value of a tree, unmet requirements filled by strategy.
 
-    One evaluate pass recomputes every internal node from its daughters
-    instead of trusting stored formulae, so on a finished tree this
-    reproduces the stored root exactly.  Finished adjunct trees fold into
+    One evaluate pass computes only the nodes that store no formula and
+    takes every stored formula as it is, so a finished tree scores by its
+    stored root with no contraction.  Finished adjunct trees fold into
     their clause's proposition node entrywise; unfinished adjuncts do not
     contribute.
 
     Under direct_sum that pass fills each open leaf with its stand-in's
     collapse (exactly the sum stand-in), and a tree with open leaves
     comes back as TensorTuple(components, collapsed=root).  Component i
-    is the tree evaluated with open leaf k fixed to alternative k of i,
+    is the open spine evaluated with open leaf k fixed to alternative k of i,
     read as a mixed-radix number over the open leaves in functor-first
     order, the first leaf most significant.  Components are computed when
     read; len() computes none.
@@ -224,7 +224,7 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
             return value.collapse()
         return value
 
-    root = evaluate(tree, stand_in)[tree.root]
+    root = evaluate(tree, stand_in)
     if not open_leaves:
         return root
     # evaluate asks argument before functor, so reversing gives functor first
@@ -252,7 +252,7 @@ class _Choices(_Lazy):
         for node_id, alternatives in reversed(self._leaves):
             i, digit = divmod(i, len(alternatives))
             chosen[node_id] = alternatives[digit]
-        return evaluate(self._tree, lambda node: chosen[node.node_id])[self._tree.root]
+        return evaluate(self._tree, lambda node: chosen[node.node_id])
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,7 @@ class Lexicon:
     """An ordered collection of senses over a fixed pair of spaces.
 
     The sentence space has two basis labels: evidence for, then against.
+    Tensor entries are counts or weights, so none may be negative.
 
     stand_ins is derived data, not part of the lexicon's value: the
     interpreter fills it lazily with one stand-in per (signature,
@@ -253,6 +254,9 @@ class Lexicon:
                     f"{s.tensor.signature!r} does not fit type {s.sem_type} "
                     f"(expected {signature_of(s.sem_type, self.space_map)!r})"
                 )
+            if s.tensor is not None and (s.tensor.array < 0).any():
+                raise ValidationError(f"sense {s.sense_id!r}: negative tensor "
+                                      f"entry {s.tensor.array.min().item()}")
         index: dict[str, list[Sense]] = {}
         for s in self.senses:
             for surface in (s.word, *s.forms):
@@ -322,9 +326,9 @@ def load_lexicon(path) -> Lexicon:
 
     Syntax problems raise ParseError with file and position information;
     well-formed files that break a consistency rule (duplicate sense ids,
-    tensors that do not fit their type, tensor entries that are booleans,
-    non-finite or integers outside int64, a sentence space not of 2
-    labels) raise ValidationError naming the offending sense or space.
+    tensors that do not fit their type, tensor entries that are negative,
+    booleans, non-finite or integers outside int64, a sentence space not
+    of 2 labels) raise ValidationError naming the offending sense or space.
     """
     p = Path(path)
     try:

@@ -11,12 +11,12 @@ After each word the tree saturates: a pointed bare proposition
 requirement grows (prediction), and any node whose daughters both carry
 formulae receives the contraction of functor against argument.  At
 proposition nodes the contraction is additionally multiplied entrywise
-with the root formula of every finished adjunct tree in the clause.
-That rule lives in evaluate, which composes plain tensors only, by
-contract and mu.  interpret also uses it to value unfinished trees with
-stand-ins at their unmet requirements, and builds direct_sum roots from
-it by re-evaluating the tree once per choice of alternatives.  A tree is
-valued once per word: pointer travel only predicts.
+with the root formula of every finished adjunct tree in the clause.  A
+word changes values only on the mother chain of the node it touched, so
+saturation recomputes that chain alone, and evaluate, which interpret
+runs with stand-ins at unmet requirements, computes only the nodes that
+store no formula.  A tree is valued once per word: pointer travel only
+predicts.
 
 The pointer marks where the next word may act.  It can travel up from a
 finished node to its mother (also crossing from a finished adjunct root
@@ -87,7 +87,7 @@ class Tree:
 
     def is_complete(self) -> bool:
         """No unmet requirements anywhere, so a vector at the root."""
-        return not _has_requirement(self, self.root)
+        return not _has_requirement(self.nodes, self.root)
 
 
 def axiom() -> Tree:
@@ -99,10 +99,10 @@ def axiom() -> Tree:
 # traversal helpers
 
 
-def _has_requirement(tree: Tree, top: int) -> bool:
+def _has_requirement(nodes, top: int) -> bool:
     stack = [top]
     while stack:
-        n = tree.nodes[stack.pop()]
+        n = nodes[stack.pop()]
         if n.requirement:
             return True
         stack.extend(c for c in (n.argument, n.functor, n.link) if c is not None)
@@ -125,67 +125,50 @@ def _first_requirement_leaf(tree: Tree) -> int | None:
 # evaluation and saturation
 
 
-def evaluate(tree: Tree, stand_in=None) -> list:
-    """Value of every node, computed bottom-up in one pass.
+def evaluate(tree: Tree, stand_in=None):
+    """Root value of a tree, computing only the nodes without a formula.
 
-    A filled leaf is valued by its formula, an unmet requirement leaf by
-    stand_in(node), or None when there is no stand_in.  A node whose
-    daughters both have values gets its functor contracted against its
-    argument at the functor's application slot.  At a proposition node
-    that value is then multiplied entrywise with the root value of every
-    finished adjunct in the clause, in this order: the node's own adjunct,
-    then those in its argument subtree, then those in its functor subtree.
-    Any other node is valued None.
-
-    Adjunct trees never take stand-ins: only a finished adjunct (no unmet
-    requirement anywhere in it) contributes, and that one needs none.
-    Values are plain tensors; stand_in must return one.  Unmet leaves are
-    asked for depth first, argument subtree before functor subtree.
-    Alternatives kept apart (the direct_sum strategy) are
-    interpret.compile_root's business, not this function's.
-
-    Returns the values as a list indexed by node id.
+    A node with a formula is valued by it and nothing under it is visited:
+    stored formulae are trusted, as saturate leaves them.  An unmet leaf
+    is valued by stand_in(node), or None without one, asked depth first,
+    argument subtree before functor subtree; adjuncts take no stand-ins.
+    An internal node is valued by _compose.  Values are plain tensors;
+    alternatives kept apart (direct_sum) are interpret.compile_root's.
     """
-    values: list = [None] * len(tree.nodes)
-    _evaluate_subtree(tree.nodes, values, tree.root, stand_in)
-    return values
+    return _value(tree.nodes, tree.root, stand_in)
 
 
-def _evaluate_subtree(nodes, values: list, i: int, fill) -> tuple[bool, list[int]]:
-    """Fill values for node i's subtree; return whether the subtree is
-    finished and the roots of the finished adjuncts hanging in its clause.
-
-    A module-level function, not a closure: a recursive closure over
-    values would form a reference cycle and keep every value alive until
-    the cycle collector runs.
-    """
+def _value(nodes, i: int, fill):
+    """evaluate's recursion, at module level: no closure cycle holds values."""
     n = nodes[i]
-    finished = True
-    folds: list[int] = []
-    if n.link is not None:
-        if _evaluate_subtree(nodes, values, n.link, None)[0]:
-            folds.append(n.link)
-        else:
-            finished = False
+    if n.formula is not None:
+        return n.formula
     if n.is_leaf:
-        if n.complete:
-            values[i] = n.formula
-        else:
-            finished = False
-            if fill is not None:
-                values[i] = fill(n)
-        return finished, folds
-    arg_finished, arg_folds = _evaluate_subtree(nodes, values, n.argument, fill)
-    fun_finished, fun_folds = _evaluate_subtree(nodes, values, n.functor, fill)
-    folds += arg_folds + fun_folds
-    f, a = values[n.functor], values[n.argument]
-    if f is not None and a is not None:
-        v = contract(f, a, [(application_slot(nodes[n.functor].sem_type), 0)])
-        if n.sem_type == T:
-            for j in folds:
-                v = mu(v, values[j])
-        values[i] = v
-    return finished and arg_finished and fun_finished, folds
+        return None if fill is None else fill(n)
+    a = _value(nodes, n.argument, fill)  # first, so stand-ins keep their order
+    return _compose(nodes, n, _value(nodes, n.functor, fill), a)
+
+
+def _compose(nodes, n: Node, f, a):
+    """Internal node n's value from its functor's value f and argument's a.
+
+    None unless both are values; else f contracted against a at the
+    functor's application slot, and at a proposition node multiplied
+    entrywise with the root formula of every finished adjunct in n's
+    clause, in pre-order: n's own, those under its argument, then those
+    under its functor.
+    """
+    if f is None or a is None:
+        return None
+    v = contract(f, a, [(application_slot(nodes[n.functor].sem_type), 0)])
+    if n.sem_type == T:
+        stack = [n.node_id]
+        while stack:
+            m = nodes[stack.pop()]
+            if m.link is not None and not _has_requirement(nodes, m.link):
+                v = mu(v, nodes[m.link].formula)
+            stack.extend(c for c in (m.functor, m.argument) if c is not None)
+    return v
 
 
 def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
@@ -210,28 +193,41 @@ def _predict(tree: Tree) -> Tree:
 
 
 def saturate(tree: Tree) -> Tree:
-    """Predict at the pointed node, then value every node.
+    """Predict at the pointed node, then revalue the pointer's mother chain.
 
-    One evaluate pass without stand-ins values the tree; each internal
-    node that gets a value stores it as its formula.  parse_word keeps
-    only saturated trees, on which this changes nothing.
+    Formulae off the chain are trusted, as apply_lexical leaves a tree
+    parse_word kept.  The walk goes up to the root, crossing from an
+    adjunct root to its host, and stores as formula the recomputed value
+    of every proposition node, whose adjuncts may have finished or
+    reopened, and of any other internal node whose chain daughter got a
+    new value (a host does not depend on its adjunct).
     """
     tree = _predict(tree)
-    values = evaluate(tree)
-    nodes = tuple(n if n.is_leaf or v is None else _dc_replace(n, formula=v)
-                  for n, v in zip(tree.nodes, values))
-    return Tree(nodes, tree.pointer, tree.root)
+    nodes = list(tree.nodes)
+    i, changed = tree.pointer, True
+    while True:
+        n = nodes[i]
+        if not n.is_leaf and (changed or n.sem_type == T):
+            v = _compose(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
+            changed = v is not None
+            if changed:
+                nodes[i] = _dc_replace(n, formula=v)
+        if n.parent is None:
+            return Tree(tuple(nodes), tree.pointer, tree.root)
+        changed = changed and nodes[n.parent].link != i
+        i = n.parent
 
 
 def canonical_view(tree: Tree) -> Tree:
-    """Saturated tree with the pointer advanced to the next open slot.
+    """Predicted tree with the pointer advanced to the next open slot.
 
-    The pointer lands on the first requirement leaf in depth-first order
-    (argument before functor, adjuncts after the node they hang from), or
-    on the root when nothing is left to fill.  This is the form traces
-    display.
+    Like apply_computational it values nothing, so it takes a tree as
+    parse_word leaves it, or the axiom.  The pointer lands on the first
+    requirement leaf in depth-first order (argument before functor,
+    adjuncts after the node they hang from), or on the root when nothing
+    is left to fill.  This is the form traces display.
     """
-    t = saturate(tree)
+    t = _predict(tree)
     i = _first_requirement_leaf(t)
     return t.with_pointer(i if i is not None else t.root)
 
@@ -257,7 +253,7 @@ def apply_computational(tree: Tree) -> list[Tree]:
         n = t.nodes[i]
         moves = [n.parent] if n.complete and n.parent is not None else []
         moves += [c for c in (n.argument, n.functor, n.link)
-                  if c is not None and _has_requirement(t, c)]
+                  if c is not None and _has_requirement(t.nodes, c)]
         for m in moves:
             if m not in seen:
                 seen.append(m)

@@ -1,6 +1,7 @@
 import pytest
 
 from dsvs import fixture_path, load_lexicon
+from dsvs import parser as parser_module
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,18 @@ def split_lex():
 @pytest.fixture(scope="session")
 def traces_lex():
     return load_lexicon(fixture_path("traces"))
+
+
+@pytest.fixture
+def parser_contractions(monkeypatch):
+    """The argument tuples of every contract call made through dsvs.parser
+    from now on, the evaluator's and saturation's."""
+    calls = []
+    real = parser_module.contract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parser_module, "contract", counting)
+    return calls

@@ -199,6 +199,16 @@ def test_integer_entry_outside_int64_exits_two(capsys, tmp_path, entry):
     assert code == 2 and out == "" and "baby#n" in err and entry in err
 
 
+def test_negative_tensor_entry_exits_two(capsys, tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    baby = next(s for s in doc["senses"] if s["id"] == "baby#n")
+    baby["tensor"] = [-34, 10, 0, 0]
+    path = tmp_path / "negative.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
+    assert code == 2 and out == "" and "baby#n" in err
+
+
 def test_bad_usage_exits_two(capsys):
     assert run(capsys, "parse", "--lexicon", BASE, "--strategy", "zzz", "x")[0] == 2
     assert run(capsys)[0] == 2

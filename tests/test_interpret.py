@@ -291,6 +291,56 @@ def test_compile_ignores_unfinished_adjuncts(traces_lex):
     assert got.tolist() == oracles.sentence_vector(mary, standin)
 
 
+def _open_spine(tree) -> int:
+    """Internal nodes outside adjuncts that store no formula."""
+    count, stack = 0, [tree.root]
+    while stack:
+        n = tree.nodes[stack.pop()]
+        if not n.is_leaf:
+            count += n.formula is None
+            stack += [n.argument, n.functor]
+    return count
+
+
+@pytest.mark.parametrize("strategy", ["unit", "sum", "direct_sum"])
+@pytest.mark.parametrize("words", [
+    "mary likes john",
+    "mary who likes john snores",
+    "john likes mary who likes john",
+])
+def test_compiling_a_finished_tree_contracts_nothing(
+    words, strategy, traces_lex, parser_contractions
+):
+    tree = one_candidate(traces_lex, words).tree
+    before = len(parser_contractions)
+    assert compile_root(tree, traces_lex, strategy) == tree.nodes[tree.root].formula
+    assert len(parser_contractions) == before
+
+
+@pytest.mark.parametrize("words", [
+    "", "mary", "john likes", "mary who likes john", "john who likes mary who",
+    "mary likes john who likes",
+])
+def test_compiling_contracts_only_nodes_without_a_formula(
+    words, traces_lex, parser_contractions
+):
+    tree = one_candidate(traces_lex, words).tree
+    before = len(parser_contractions)
+    compile_root(tree, traces_lex, "sum")
+    assert len(parser_contractions) - before == _open_spine(tree)
+
+
+@pytest.mark.parametrize("words", ["john likes", "mary who likes john", "mary who sleeps"])
+def test_each_direct_sum_component_costs_one_open_spine_evaluation(
+    words, traces_lex, parser_contractions
+):
+    tree = one_candidate(traces_lex, words).tree
+    root = compile_root(tree, traces_lex, "direct_sum")
+    before = len(parser_contractions)
+    components = list(root.components)
+    assert len(parser_contractions) - before == len(components) * _open_spine(tree) > 0
+
+
 # ---------------------------------------------------------------------------
 # plausibility
 

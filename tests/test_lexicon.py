@@ -170,6 +170,13 @@ def test_lexicon_validation():
     assert "v#v" in str(err.value)
 
 
+def test_lexicon_refuses_negative_entries():
+    bad = noun("b#n", "b", [-34, 10])
+    with pytest.raises(ValidationError) as err:
+        Lexicon((W, S), SMAP, (noun("a#n", "a", [1, 2]), bad))
+    assert "b#n" in str(err.value) and "-34" in str(err.value)
+
+
 def test_lexicon_requires_a_two_point_sentence_space():
     s3 = Space("S", (TOP, BOTTOM, "?"))
     v = Sense("v#v", "v", parse_type("et"), Tensor(Signature((W, s3)), [[1, 2, 3]] * 2))

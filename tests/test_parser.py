@@ -124,6 +124,67 @@ def test_pointer_travel_contracts_nothing(sentence, traces_lex, monkeypatch):
         assert len(calls) == before
 
 
+@pytest.mark.parametrize("sentence", [
+    "mary who likes john snores",
+    "mary likes john who likes mary who sleeps",
+    "john likes mary who likes john who",
+])
+def test_saturation_contracts_only_the_pointers_mother_chain(
+    sentence, traces_lex, parser_contractions
+):
+    calls = parser_contractions
+    state = initial_state()
+    for word in sentence.split():
+        sense = traces_lex.lookup(word)[0]
+        for cand in state.candidates:
+            for variant in apply_computational(cand.tree):
+                grown = apply_lexical(variant, sense)
+                if grown is not None:
+                    break
+            before = len(calls)
+            t = saturate(grown)
+            chain, i = 0, t.pointer
+            while i is not None:
+                chain += not t.nodes[i].is_leaf
+                i = t.nodes[i].parent
+            assert len(calls) - before <= chain
+        state = parse_word(state, word, traces_lex)
+
+
+def test_host_root_folds_an_adjunct_only_while_it_is_finished(traces_lex):
+    # the last "who" opens a clause inside the finished relative clause,
+    # which is then unfinished again, so the root drops its fold
+    roots = []
+    state = initial_state()
+    for word in "john likes mary who likes john who".split():
+        state = parse_word(state, word, traces_lex)
+        assert len(state.candidates) == 1
+        formula = first_tree(state).nodes[0].formula
+        roots.append(None if formula is None else formula.tolist())
+    assert roots == [None, None, [40, 32], [40, 32], [40, 32], [1600, 1024], [40, 32]]
+
+
+@pytest.mark.parametrize("sentence,lexname", [
+    ("mary who likes john snores", "traces"),
+    ("john likes mary who likes john who", "traces"),
+    ("footballers dribble", "split"),
+])
+def test_rendering_candidates_contracts_nothing(
+    sentence, lexname, traces_lex, split_lex, parser_contractions
+):
+    lex = {"traces": traces_lex, "split": split_lex}[lexname]
+    calls = parser_contractions
+    state = initial_state()
+    render(canonical_view(first_tree(state)))  # the axiom
+    assert calls == []
+    for word in sentence.split():
+        state = parse_word(state, word, lex)
+        before = len(calls)
+        for cand in state.candidates:
+            render(canonical_view(cand.tree))
+        assert len(calls) == before
+
+
 def test_evaluation_leaves_no_reference_cycles(traces_lex):
     # a cycle would keep every node value alive until the collector runs
     tree = first_tree(after("mary who likes john", traces_lex))

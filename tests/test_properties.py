@@ -1,10 +1,11 @@
 """Random sentences checked against the plain-list arithmetic in oracles.
 
-Saturation values a tree in one bottom-up pass.  The reference here is the
-fixed point that pass must reach, restated node by node: a node with two
-complete daughters is complete, its formula is functor contracted against
-argument, and at a proposition node every finished adjunct in its clause
-is folded in entrywise.
+Saturation recomputes only the mother chain of the node a word touched
+and trusts every other stored formula.  The reference here is the fixed
+point the whole tree must be at after every word, restated node by node:
+a node with two complete daughters is complete, its formula is functor
+contracted against argument, and at a proposition node every finished
+adjunct in its clause is folded in entrywise.
 
 Stand-ins are kept on the lexicon once built; LEXICONS below is shared by
 every example, so its stand-ins are warm, and a freshly loaded copy gives
