@@ -18,6 +18,7 @@ from .errors import (
     LexiconMiss,
     LinkUnavailable,
     NoInhabitants,
+    NonFiniteEntry,
     ParseError,
     SignatureMismatch,
     SlotOutOfRange,

@@ -39,6 +39,10 @@ class EmptySignature(DsvsError):
     """A unit tensor was requested over no spaces at all."""
 
 
+class NonFiniteEntry(DsvsError, ValueError):
+    """A tensor entry is infinite or NaN, as a float overflow leaves it."""
+
+
 # ---------------------------------------------------------------------------
 # type layer
 

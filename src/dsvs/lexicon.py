@@ -273,12 +273,6 @@ class Lexicon:
                 return s
         raise KeyError(f"no sense with id {sense_id!r}")
 
-    def space(self, name: str) -> Space:
-        for sp in self.spaces:
-            if sp.name == name:
-                return sp
-        raise KeyError(f"no space named {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # file format

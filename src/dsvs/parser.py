@@ -21,15 +21,16 @@ predicts.
 The pointer marks where the next word may act.  It can travel up from a
 finished node to its mother (also crossing from a finished adjunct root
 back to its host) and down into any daughter or adjunct whose subtree
-still has unmet requirements.  A word sense applies at the first reachable
-position that accepts it; each live candidate therefore forks into at most
-one successor per sense, and parsing a locally ambiguous word multiplies
-the candidate set.
+still has unmet requirements, as flagged by Tree.open, one pass per tree.
+A word sense applies at the first reachable position that accepts it;
+each live candidate therefore forks into at most one successor per sense,
+and parsing a locally ambiguous word multiplies the candidate set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
+from functools import cached_property
 
 from .errors import DeadEnd, LexiconMiss, LinkUnavailable
 from .lexicon import Lexicon, Sense
@@ -85,40 +86,31 @@ class Tree:
     def with_pointer(self, i: int) -> "Tree":
         return Tree(self.nodes, i, self.root)
 
+    @cached_property
+    def open(self) -> tuple[bool, ...]:
+        """Per node id: does a requirement leaf lie at or under the node,
+        adjuncts included?  One pass, on first use.
+
+        Ids alone order the pass: _sprout and apply_link append daughters
+        and adjuncts after their mother, so every node's id is below those
+        of the nodes hanging from it.  Flags follow leaves only, so a tree
+        whose internal formulae are still to be computed already has the
+        flags it will have once they are.
+        """
+        flags = [n.formula is None and n.is_leaf for n in self.nodes]
+        for n in reversed(self.nodes):
+            if flags[n.node_id] and n.parent is not None:
+                flags[n.parent] = True
+        return tuple(flags)
+
     def is_complete(self) -> bool:
         """No unmet requirements anywhere, so a vector at the root."""
-        return not _has_requirement(self.nodes, self.root)
+        return not self.open[self.root]
 
 
 def axiom() -> Tree:
     """The starting tree: one pointed node requiring a proposition."""
     return Tree((Node(0, T),), pointer=0)
-
-
-# ---------------------------------------------------------------------------
-# traversal helpers
-
-
-def _has_requirement(nodes, top: int) -> bool:
-    stack = [top]
-    while stack:
-        n = nodes[stack.pop()]
-        if n.requirement:
-            return True
-        stack.extend(c for c in (n.argument, n.functor, n.link) if c is not None)
-    return False
-
-
-def _first_requirement_leaf(tree: Tree) -> int | None:
-    """First requirement leaf in depth-first order: node, argument,
-    functor, adjunct."""
-    stack = [tree.root]
-    while stack:
-        n = tree.nodes[stack.pop()]
-        if n.requirement and n.is_leaf:
-            return n.node_id
-        stack.extend(c for c in (n.link, n.functor, n.argument) if c is not None)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +127,30 @@ def evaluate(tree: Tree, stand_in=None):
     An internal node is valued by _compose.  Values are plain tensors;
     alternatives kept apart (direct_sum) are interpret.compile_root's.
     """
-    return _value(tree.nodes, tree.root, stand_in)
+    return _value(tree, tree.root, stand_in)
 
 
-def _value(nodes, i: int, fill):
+def _value(tree: Tree, i: int, fill):
     """evaluate's recursion, at module level: no closure cycle holds values."""
-    n = nodes[i]
+    n = tree.nodes[i]
     if n.formula is not None:
         return n.formula
     if n.is_leaf:
         return None if fill is None else fill(n)
-    a = _value(nodes, n.argument, fill)  # first, so stand-ins keep their order
-    return _compose(nodes, n, _value(nodes, n.functor, fill), a)
+    a = _value(tree, n.argument, fill)  # first, so stand-ins keep their order
+    return _compose(tree.nodes, tree, n, _value(tree, n.functor, fill), a)
 
 
-def _compose(nodes, n: Node, f, a):
+def _compose(nodes, flagged: Tree, n: Node, f, a):
     """Internal node n's value from its functor's value f and argument's a.
 
     None unless both are values; else f contracted against a at the
     functor's application slot, and at a proposition node multiplied
     entrywise with the root formula of every finished adjunct in n's
     clause, in pre-order: n's own, those under its argument, then those
-    under its functor.
+    under its functor.  An adjunct root without a formula is unfinished;
+    whether one with a formula was reopened below, the Tree.open flags of
+    flagged, a tree with the leaves of nodes, tell.
     """
     if f is None or a is None:
         return None
@@ -165,8 +159,9 @@ def _compose(nodes, n: Node, f, a):
         stack = [n.node_id]
         while stack:
             m = nodes[stack.pop()]
-            if m.link is not None and not _has_requirement(nodes, m.link):
-                v = mu(v, nodes[m.link].formula)
+            j = m.link
+            if j is not None and nodes[j].complete and not flagged.open[j]:
+                v = mu(v, nodes[j].formula)
             stack.extend(c for c in (m.functor, m.argument) if c is not None)
     return v
 
@@ -200,7 +195,9 @@ def saturate(tree: Tree) -> Tree:
     adjunct root to its host, and stores as formula the recomputed value
     of every proposition node, whose adjuncts may have finished or
     reopened, and of any other internal node whose chain daughter got a
-    new value (a host does not depend on its adjunct).
+    new value (a host does not depend on its adjunct).  Which adjuncts are
+    finished is read from the predicted tree's flags: saturation changes
+    internal formulae only, never leaves.
     """
     tree = _predict(tree)
     nodes = list(tree.nodes)
@@ -208,7 +205,7 @@ def saturate(tree: Tree) -> Tree:
     while True:
         n = nodes[i]
         if not n.is_leaf and (changed or n.sem_type == T):
-            v = _compose(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
+            v = _compose(nodes, tree, n, nodes[n.functor].formula, nodes[n.argument].formula)
             changed = v is not None
             if changed:
                 nodes[i] = _dc_replace(n, formula=v)
@@ -228,8 +225,11 @@ def canonical_view(tree: Tree) -> Tree:
     is left to fill.  This is the form traces display.
     """
     t = _predict(tree)
-    i = _first_requirement_leaf(t)
-    return t.with_pointer(i if i is not None else t.root)
+    n = t.nodes[t.root]
+    while t.open[n.node_id] and not (n.requirement and n.is_leaf):
+        n = t.nodes[next(c for c in (n.argument, n.functor, n.link)
+                         if c is not None and t.open[c])]
+    return t.with_pointer(n.node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def apply_computational(tree: Tree) -> list[Tree]:
         n = t.nodes[i]
         moves = [n.parent] if n.complete and n.parent is not None else []
         moves += [c for c in (n.argument, n.functor, n.link)
-                  if c is not None and _has_requirement(t.nodes, c)]
+                  if c is not None and t.open[c]]
         for m in moves:
             if m not in seen:
                 seen.append(m)

@@ -123,11 +123,7 @@ def check_formula(ty: SemType, formula, smap: SpaceMap) -> bool:
         sig = signature_of(ty, smap)
     except UnmappedType:
         return False
-    if isinstance(formula, TensorTuple):
-        return formula.signature == sig
-    if isinstance(formula, Tensor):
-        return formula.signature == sig
-    return False
+    return isinstance(formula, (Tensor, TensorTuple)) and formula.signature == sig
 
 
 def application_slot(ty: SemType) -> int:

@@ -26,6 +26,7 @@ from .errors import (
     DuplicateSlot,
     EmptyList,
     EmptySignature,
+    NonFiniteEntry,
     SignatureMismatch,
     SlotOutOfRange,
     SpaceMismatch,
@@ -114,7 +115,7 @@ def _freeze(values) -> np.ndarray:
     elif arr.dtype.kind == "f":
         finite = np.isfinite(arr)
         if not finite.all():
-            raise ValueError(f"tensor entry {arr[~finite][0]} is not a finite number")
+            raise NonFiniteEntry(f"tensor entry {arr[~finite][0]} is not a finite number")
         arr = arr.astype(np.float64)
     else:
         raise TypeError(f"tensor entries must be numeric, got dtype {arr.dtype}")
@@ -175,7 +176,7 @@ class TensorTuple:
 
     Used when a value is kept as separate alternatives rather than being
     collapsed into a single tensor.  Entrywise addition of the components
-    recovers the collapsed form; collapse() computes it once and keeps it.
+    gives the collapsed form, computed on construction with sum_tensors.
 
     A caller that already knows that sum may pass it as collapsed; the
     components may then be any read-only sequence, lazy ones included, and
@@ -188,12 +189,7 @@ class TensorTuple:
     def __init__(self, components, collapsed: Tensor | None = None):
         if collapsed is None:
             components = tuple(components)
-            for i, c in enumerate(components[1:], start=1):
-                if c.signature != components[0].signature:
-                    raise SignatureMismatch(
-                        f"component {i} has signature {c.signature!r}, "
-                        f"expected {components[0].signature!r}"
-                    )
+            collapsed = sum_tensors(list(components))
         if not len(components):
             raise EmptyList("a tensor tuple needs at least one component")
         self._components = components
@@ -205,14 +201,10 @@ class TensorTuple:
 
     @property
     def signature(self) -> Signature:
-        if self._collapsed is not None:
-            return self._collapsed.signature
-        return self._components[0].signature
+        return self._collapsed.signature
 
     def collapse(self) -> Tensor:
         """Entrywise sum of all components."""
-        if self._collapsed is None:
-            self._collapsed = sum_tensors(list(self._components))
         return self._collapsed
 
     def __len__(self):
@@ -286,7 +278,7 @@ def sum_tensors(tensors: list[Tensor]) -> Tensor:
 
 def direct_sum(tensors: list[Tensor]) -> TensorTuple:
     """Keep tensors as an ordered tuple of alternatives; see TensorTuple."""
-    return TensorTuple(tuple(tensors))
+    return TensorTuple(tensors)
 
 
 def unit_tensor(signature: Signature) -> Tensor:

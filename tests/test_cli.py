@@ -1,9 +1,13 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dsvs
 from dsvs import (
     canonical_view,
     disambiguate,
@@ -207,6 +211,27 @@ def test_negative_tensor_entry_exits_two(capsys, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
     assert code == 2 and out == "" and "baby#n" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_overflow_exits_two_without_a_traceback(capsys, tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    for sense in doc["senses"]:
+        if sense["id"] == "baby#n":
+            sense["tensor"] = [1e200, 1e200, 0, 0]
+        if sense["id"] == "vomit#v":
+            sense["tensor"][0] = [1e200, 1e200]
+    path = tmp_path / "overflow.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["parse", "--lexicon", str(path), "babies vomit"]
+    env = {**os.environ, "PYTHONPATH": str(Path(dsvs.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "dsvs.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "dsvs: tensor entry inf is not a finite number"
+    code, out, _ = run(capsys, "disambiguate", "--lexicon", str(path), "babies vomit")
+    assert code == 2 and out == ""
 
 
 def test_bad_usage_exits_two(capsys):

@@ -1,4 +1,5 @@
 import gc
+from functools import cached_property
 
 import pytest
 
@@ -10,6 +11,7 @@ from dsvs import (
     LexiconMiss,
     LinkUnavailable,
     T,
+    Tree,
     apply_computational,
     apply_lexical,
     apply_link,
@@ -162,6 +164,48 @@ def test_host_root_folds_an_adjunct_only_while_it_is_finished(traces_lex):
         formula = first_tree(state).nodes[0].formula
         roots.append(None if formula is None else formula.tolist())
     assert roots == [None, None, [40, 32], [40, 32], [40, 32], [1600, 1024], [40, 32]]
+
+
+def test_open_flags_are_computed_at_most_twice_per_candidate_and_sense(
+    traces_lex, monkeypatch
+):
+    # once for the tree pointer travel starts from, once for the grown tree
+    # saturate values, whatever the number of words before
+    passes = []
+    real = Tree.open.func
+
+    def counting(tree):
+        passes.append(len(tree.nodes))
+        return real(tree)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Tree, "open")
+    monkeypatch.setattr(Tree, "open", counted)
+    words = "john likes mary" + " who likes john who likes mary" * 5
+    state = initial_state()
+    for word in words.split():
+        forks = len(state.candidates) * len(traces_lex.lookup(word))
+        before = len(passes)
+        state = parse_word(state, word, traces_lex)
+        assert len(passes) - before <= 2 * forks
+    assert len(state.consumed) >= 30 and max(passes) >= 50  # nodes
+
+
+def test_contractions_per_word_follow_the_proposition_nodes_on_the_chain(
+    traces_lex, parser_contractions
+):
+    # every proposition node on the chain is refolded; besides them only
+    # the verb phrase over a filled object is contracted again
+    state = initial_state()
+    for word in ("john likes mary" + " who likes john" * 10).split():
+        before = len(parser_contractions)
+        state = parse_word(state, word, traces_lex)
+        t = first_tree(state)
+        i, propositions = t.pointer, 0
+        while i is not None:
+            propositions += t.nodes[i].sem_type == T and not t.nodes[i].is_leaf
+            i = t.nodes[i].parent
+        assert len(parser_contractions) - before <= propositions + 1
 
 
 @pytest.mark.parametrize("sentence,lexname", [

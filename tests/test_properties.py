@@ -42,6 +42,7 @@ from dsvs import (
     application_slot,
     apply_computational,
     axiom,
+    canonical_view,
     compile_root,
     disambiguate,
     fixture_path,
@@ -199,6 +200,30 @@ def test_kept_trees_are_fixed_points_of_saturation(drawn):
         for cand in state.candidates:
             assert saturate(cand.tree) == cand.tree
             assert apply_computational(cand.tree) == apply_computational(saturate(cand.tree))
+
+
+def _check_open(tree):
+    assert tree.open == tuple(not _finished(tree, i) for i in range(len(tree.nodes)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sentences())
+def test_open_flags_match_a_whole_subtree_walk(drawn):
+    name, words = drawn
+    lex = LEXICONS[name]
+    state = initial_state()
+    trees = [axiom(), canonical_view(axiom()), *apply_computational(axiom())]
+    for word in words:
+        for tree in trees:
+            _check_open(tree)
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        trees = [t for c in state.candidates
+                 for t in (c.tree, canonical_view(c.tree), *apply_computational(c.tree))]
+    for tree in trees:
+        _check_open(tree)
 
 
 @settings(max_examples=60, deadline=None, database=None)
