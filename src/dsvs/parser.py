@@ -197,7 +197,8 @@ def saturate(tree: Tree) -> Tree:
     reopened, and of any other internal node whose chain daughter got a
     new value (a host does not depend on its adjunct).  Which adjuncts are
     finished is read from the predicted tree's flags: saturation changes
-    internal formulae only, never leaves.
+    internal formulae only, never leaves, so the saturated tree takes the
+    same flags over.
     """
     tree = _predict(tree)
     nodes = list(tree.nodes)
@@ -210,7 +211,9 @@ def saturate(tree: Tree) -> Tree:
             if changed:
                 nodes[i] = _dc_replace(n, formula=v)
         if n.parent is None:
-            return Tree(tuple(nodes), tree.pointer, tree.root)
+            saturated = Tree(tuple(nodes), tree.pointer, tree.root)
+            saturated.__dict__["open"] = tree.open
+            return saturated
         changed = changed and nodes[n.parent].link != i
         i = n.parent
 

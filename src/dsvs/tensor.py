@@ -10,15 +10,30 @@ data stays exact; everything else is carried as float64; booleans,
 non-finite floats and integers outside int64 are refused.  Arrays are
 copied on construction and marked read-only, so tensors behave as values.
 
+The results of contract, mu and sum_tensors are built by one trusted path
+instead: their arrays are fresh int64 or float64 arrays of the right shape
+by construction, so they are only marked read-only, and a float result is
+still refused unless every entry is finite.  Float overflow inside these
+operations is reported that way alone, not also as a numpy warning.
+
+contract plans each contraction once.  A plan is kept per (left signature,
+right signature, pairs), compared by value, so a reloaded lexicon reuses
+the plans of the first; it holds the result signature and the transposes
+and reshapes that lower the contraction to one np.dot, exactly as numpy's
+tensordot lowers it, so results are bit for bit those of tensordot.  Pairs
+are checked when a plan is made; an invalid pair list is never stored.
+
 All operations here are dense.  Contraction of tensors with n and m slots,
 k of them paired, costs on the order of the product of all involved
 dimensions; fine for the small spaces this package works with, ruinous for
-large ones.
+large ones.  The tensors here are tiny, so a call costs mostly its fixed
+overhead, which the plans keep small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -104,6 +119,12 @@ def _check_entries(values) -> None:
             raise ValueError(f"tensor entry {v} is outside the int64 range")
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NonFiniteEntry(f"tensor entry {arr[~finite][0]} is not a finite number")
+
+
 def _freeze(values) -> np.ndarray:
     if isinstance(values, (list, tuple)):
         _check_entries(values)
@@ -113,9 +134,7 @@ def _freeze(values) -> np.ndarray:
             raise ValueError(f"tensor entry {arr.max()} is outside the int64 range")
         arr = arr.astype(np.int64)
     elif arr.dtype.kind == "f":
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise NonFiniteEntry(f"tensor entry {arr[~finite][0]} is not a finite number")
+        _check_finite(arr)
         arr = arr.astype(np.float64)
     else:
         raise TypeError(f"tensor entries must be numeric, got dtype {arr.dtype}")
@@ -228,6 +247,83 @@ class TensorTuple:
         return f"TensorTuple({len(self)} x {self.signature!r})"
 
 
+_FLOAT = np.dtype(np.float64)
+
+
+def _result(signature: Signature, arr) -> Tensor:
+    """A Tensor around a value this module just computed from tensors.
+
+    arr is an int64 or float64 array of the signature's shape, or the
+    numpy scalar an operation on 0-d arrays returns, and nothing outside
+    this module can write to it (a sum of one tensor passes that tensor's
+    own read-only array); so _freeze is skipped and the array is only
+    marked read-only.  A float result must still be finite everywhere.
+    """
+    if type(arr) is not np.ndarray:
+        arr = np.array(arr)
+    if arr.dtype is _FLOAT:
+        _check_finite(arr)
+    arr.setflags(write=False)
+    t = object.__new__(Tensor)
+    t.__dict__.update(signature=signature, array=arr)
+    return t
+
+
+def _apply(op, x: np.ndarray, y: np.ndarray):
+    """op(x, y), with numpy's float overflow warnings off when either is
+    float: _result then refuses a non-finite value, the only report."""
+    if x.dtype is _FLOAT or y.dtype is _FLOAT:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return op(x, y)
+    return op(x, y)
+
+
+# contraction plans by (left signature, right signature, pairs)
+_PLANS: dict = {}
+
+
+def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
+    """Check the pairs against both signatures, then lay the contraction
+    out as numpy's tensordot does and keep the layout in _PLANS.
+
+    The plan is (result signature, left transpose, left 2-d shape, right
+    transpose, right 2-d shape, result shape): paired slots move to the end
+    of the left operand and the front of the right one.
+    """
+    a_slots = []
+    b_slots = []
+    for i, j in pairs:
+        if not 0 <= i < len(sa):
+            raise SlotOutOfRange(f"slot {i} out of range for left operand of rank {len(sa)}")
+        if not 0 <= j < len(sb):
+            raise SlotOutOfRange(f"slot {j} out of range for right operand of rank {len(sb)}")
+        if i in a_slots:
+            raise DuplicateSlot(f"left slot {i} paired twice")
+        if j in b_slots:
+            raise DuplicateSlot(f"right slot {j} paired twice")
+        if sa[i] != sb[j]:
+            raise SpaceMismatch(
+                f"cannot pair slot {i} ({sa[i]!r}) with slot {j} ({sb[j]!r})"
+            )
+        a_slots.append(i)
+        b_slots.append(j)
+
+    a_kept = [k for k in range(len(sa)) if k not in a_slots]
+    b_kept = [k for k in range(len(sb)) if k not in b_slots]
+    da, db = sa.dims, sb.dims
+    paired = prod(da[i] for i in a_slots)
+    plan = (
+        Signature(tuple(sa[k] for k in a_kept) + tuple(sb[k] for k in b_kept)),
+        tuple(a_kept + a_slots),
+        (prod(da[k] for k in a_kept), paired),
+        tuple(b_slots + b_kept),
+        (paired, prod(db[k] for k in b_kept)),
+        tuple(da[k] for k in a_kept) + tuple(db[k] for k in b_kept),
+    )
+    _PLANS[sa, sb, tuple(zip(a_slots, b_slots))] = plan
+    return plan
+
+
 def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
     """Contract tensor a against tensor b along the given slot pairs.
 
@@ -235,29 +331,18 @@ def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
     must be equal.  The result keeps a's unpaired slots in order, then b's
     unpaired slots in order.  With no pairs this is the outer product.
     """
-    a_slots = []
-    b_slots = []
-    for i, j in pairs:
-        if not 0 <= i < a.rank:
-            raise SlotOutOfRange(f"slot {i} out of range for left operand of rank {a.rank}")
-        if not 0 <= j < b.rank:
-            raise SlotOutOfRange(f"slot {j} out of range for right operand of rank {b.rank}")
-        if i in a_slots:
-            raise DuplicateSlot(f"left slot {i} paired twice")
-        if j in b_slots:
-            raise DuplicateSlot(f"right slot {j} paired twice")
-        if a.signature[i] != b.signature[j]:
-            raise SpaceMismatch(
-                f"cannot pair slot {i} ({a.signature[i]!r}) with slot {j} "
-                f"({b.signature[j]!r})"
-            )
-        a_slots.append(i)
-        b_slots.append(j)
-
-    out = np.tensordot(a.array, b.array, axes=(a_slots, b_slots))
-    kept = [sp for k, sp in enumerate(a.signature) if k not in a_slots]
-    kept += [sp for k, sp in enumerate(b.signature) if k not in b_slots]
-    return Tensor(Signature(tuple(kept)), out)
+    pairs = tuple(pairs)
+    try:
+        plan = _PLANS[a.signature, b.signature, pairs]
+    except (KeyError, TypeError):  # TypeError: pairs given as lists
+        plan = _plan(a.signature, b.signature, pairs)
+    signature, a_axes, a_shape, b_axes, b_shape, shape = plan
+    out = _apply(
+        np.dot,
+        a.array.transpose(a_axes).reshape(a_shape),
+        b.array.transpose(b_axes).reshape(b_shape),
+    )
+    return _result(signature, out.reshape(shape))
 
 
 def sum_tensors(tensors: list[Tensor]) -> Tensor:
@@ -266,14 +351,14 @@ def sum_tensors(tensors: list[Tensor]) -> Tensor:
         raise EmptyList("cannot sum zero tensors")
     sig = tensors[0].signature
     for i, t in enumerate(tensors[1:], start=1):
-        if t.signature != sig:
+        if t.signature is not sig and t.signature != sig:
             raise SignatureMismatch(
                 f"operand {i} has signature {t.signature!r}, expected {sig!r}"
             )
     total = tensors[0].array
     for t in tensors[1:]:
-        total = total + t.array
-    return Tensor(sig, total)
+        total = _apply(np.add, total, t.array)
+    return _result(sig, total)
 
 
 def direct_sum(tensors: list[Tensor]) -> TensorTuple:
@@ -293,9 +378,9 @@ def mu(a: Tensor, b: Tensor) -> Tensor:
 
     Commutative and associative, with the all-ones tensor as unit.
     """
-    if a.signature != b.signature:
+    if a.signature is not b.signature and a.signature != b.signature:
         raise SignatureMismatch(
             f"entrywise product needs equal signatures, got {a.signature!r} "
             f"and {b.signature!r}"
         )
-    return Tensor(a.signature, a.array * b.array)
+    return _result(a.signature, _apply(np.multiply, a.array, b.array))

@@ -234,6 +234,26 @@ def test_float_overflow_exits_two_without_a_traceback(capsys, tmp_path):
     assert code == 2 and out == ""
 
 
+def test_float_overflow_is_reported_once_without_a_warning(tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    for sense in doc["senses"]:
+        if sense["id"] == "baby#n":
+            sense["tensor"] = [1e200, 1e200, 0, 0]
+        if sense["id"] == "vomit#v":
+            sense["tensor"][0] = [1e200, 1e200]
+    path = tmp_path / "overflow.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(dsvs.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "dsvs.cli",
+         "parse", "--lexicon", str(path), "babies vomit"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == "dsvs: tensor entry inf is not a finite number\n"
+
+
 def test_bad_usage_exits_two(capsys):
     assert run(capsys, "parse", "--lexicon", BASE, "--strategy", "zzz", "x")[0] == 2
     assert run(capsys)[0] == 2

@@ -191,6 +191,31 @@ def test_open_flags_are_computed_at_most_twice_per_candidate_and_sense(
     assert len(state.consumed) >= 30 and max(passes) >= 50  # nodes
 
 
+def test_open_flags_are_computed_at_most_once_per_candidate_and_sense(
+    traces_lex, monkeypatch
+):
+    # the grown tree's pass only: saturate hands its flags on to the
+    # saturated tree, which pointer travel starts from at the next word
+    passes = []
+    real = Tree.open.func
+
+    def counting(tree):
+        passes.append(len(tree.nodes))
+        return real(tree)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Tree, "open")
+    monkeypatch.setattr(Tree, "open", counted)
+    words = ("john likes mary" + " who likes john who likes mary" * 5).split()
+    state = initial_state()
+    for word in words:
+        forks = len(state.candidates) * len(traces_lex.lookup(word))
+        before = len(passes)
+        state = parse_word(state, word, traces_lex)
+        assert len(passes) - before <= forks
+    assert len(words) == 33 and max(passes) >= 50  # nodes
+
+
 def test_contractions_per_word_follow_the_proposition_nodes_on_the_chain(
     traces_lex, parser_contractions
 ):

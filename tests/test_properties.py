@@ -15,14 +15,21 @@ A direct_sum root builds its components only when they are read.  The
 reference for them is the eager product, restated with lists: every pair
 of daughter components, functor outermost, then every finished adjunct of
 the clause folded in.
+
+The contraction kernel lays each contraction out once per signature pair
+and applies the layout itself; the reference for it is numpy's tensordot,
+bit for bit.
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 import dsvs.parser
@@ -31,11 +38,15 @@ from dsvs import (
     STRATEGIES,
     TOP,
     DeadEnd,
+    DuplicateSlot,
     Lexicon,
+    NonFiniteEntry,
     Sense,
     Signature,
+    SlotOutOfRange,
     Space,
     SpaceMap,
+    SpaceMismatch,
     T,
     Tensor,
     TensorTuple,
@@ -44,11 +55,13 @@ from dsvs import (
     axiom,
     canonical_view,
     compile_root,
+    contract,
     disambiguate,
     fixture_path,
     initial_state,
     known_inhabitants,
     load_lexicon,
+    mu,
     parse_sequence,
     parse_type,
     parse_word,
@@ -354,3 +367,100 @@ def test_direct_sum_scores_with_the_contractions_of_sum(monkeypatch):
             widest = max(widest, width)
         _check_direct_sum(tree, lex)
     assert widest == 8
+
+
+# ---------------------------------------------------------------------------
+# the contraction kernel
+
+# two spaces of one dim, so a mismatched pair has matching shapes
+KERNEL_SPACES = (
+    Space("P", ("p1", "p2")),
+    Space("Q", ("q1", "q2")),
+    Space("R", ("r1", "r2", "r3")),
+    Space("U", ("u1",)),
+)
+DTYPES = st.sampled_from([np.int64, np.float64])
+
+
+@st.composite
+def kernel_tensors(draw, spaces, dtype=DTYPES):
+    sig = Signature(tuple(spaces))
+    dtype = draw(dtype)
+    entries = (st.integers(-10**6, 10**6) if dtype == np.int64
+               else st.floats(-1e6, 1e6, allow_nan=False))
+    return Tensor(sig, draw(hnp.arrays(dtype, sig.dims, elements=entries)))
+
+
+@st.composite
+def contractions(draw, dtype=DTYPES):
+    """Two tensors of rank 0 to 3 and a valid pair list: any, none (the
+    outer product) or every slot of both (contraction to a scalar)."""
+    shape = draw(st.sampled_from(["any", "outer", "full"]))
+    spaces = st.sampled_from(KERNEL_SPACES)
+    a_spaces = draw(st.lists(spaces, max_size=3))
+    if shape == "outer" or not a_spaces:
+        paired = []
+    elif shape == "full":
+        paired = draw(st.permutations(range(len(a_spaces))))
+    else:
+        paired = draw(st.lists(st.sampled_from(range(len(a_spaces))), unique=True))
+    extra = [] if shape == "full" else draw(st.lists(spaces, max_size=3 - len(paired)))
+    b_spaces = [a_spaces[i] for i in paired] + extra
+    order = draw(st.permutations(range(len(b_spaces))))
+    pairs = [(i, order.index(n)) for n, i in enumerate(paired)]
+    a = draw(kernel_tensors(a_spaces, dtype))
+    b = draw(kernel_tensors([b_spaces[k] for k in order], dtype))
+    return a, b, pairs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(contractions())
+def test_contract_equals_tensordot_bit_for_bit(drawn):
+    a, b, pairs = drawn
+    want = np.tensordot(a.array, b.array, axes=([i for i, _ in pairs], [j for _, j in pairs]))
+    for _ in range(2):  # planned, then from the plan cache
+        got = contract(a, b, pairs)
+        assert type(got.array) is np.ndarray and got.array.dtype == want.dtype
+        assert got.array.shape == want.shape == got.signature.dims
+        assert got.array.tobytes() == want.tobytes()
+        assert not got.array.flags.writeable
+        with pytest.raises(ValueError):
+            got.array[...] = 0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_an_invalid_pair_list_is_refused_alike_every_time(data):
+    spaces = st.lists(st.sampled_from(KERNEL_SPACES), min_size=1, max_size=3)
+    a = data.draw(kernel_tensors(data.draw(spaces)))
+    b = data.draw(kernel_tensors(data.draw(spaces)))
+    slot = st.integers(-1, 3)
+    pairs = data.draw(st.lists(st.tuples(slot, slot), max_size=3))
+    valid = (
+        all(0 <= i < a.rank and 0 <= j < b.rank for i, j in pairs)
+        and len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        and all(a.signature[i] == b.signature[j] for i, j in pairs)
+    )
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append(contract(a, b, pairs))
+        except (SlotOutOfRange, DuplicateSlot, SpaceMismatch) as e:
+            outcomes.append((type(e), str(e)))
+    assert isinstance(outcomes[0], Tensor) == valid
+    assert outcomes[1] == outcomes[0]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(contractions(dtype=st.just(np.float64)), st.sampled_from([1e200, -1e200]))
+def test_a_non_finite_result_is_refused_without_a_warning(drawn, b_entry):
+    a, b, pairs = drawn
+    a = Tensor(a.signature, np.full(a.signature.dims, 1e200))
+    b = Tensor(b.signature, np.full(b.signature.dims, b_entry))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(NonFiniteEntry):
+                contract(a, b, pairs)
+            with pytest.raises(NonFiniteEntry):
+                mu(b, b)
