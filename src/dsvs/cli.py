@@ -61,6 +61,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     build.add_argument("--contexts", required=True,
                        help="file of property words, one per line")
     build.add_argument("--out", required=True, help="lexicon file to write")
+    build.set_defaults(run=_cmd_lexicon_build)
 
     def common(p):
         p.add_argument("--lexicon", default=None,
@@ -74,10 +75,12 @@ def _build_argparser() -> argparse.ArgumentParser:
                        help="show the tree after every word")
     parse.add_argument("--format", choices=("text", "json"), default="text")
     parse.add_argument("words", help="the words, in one quoted argument")
+    parse.set_defaults(run=_cmd_parse)
 
     dis = sub.add_parser("disambiguate", help="rank a sequence's live parses")
     common(dis)
     dis.add_argument("words", help="the words, in one quoted argument")
+    dis.set_defaults(run=_cmd_disambiguate)
 
     exp = sub.add_parser("expect", help="rank candidate next words")
     common(exp)
@@ -85,6 +88,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                      help="the words already heard, in one quoted argument")
     exp.add_argument("--candidates", required=True,
                      help="comma-separated candidate next words")
+    exp.set_defaults(run=_cmd_expect)
     return top
 
 
@@ -283,22 +287,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "lexicon":
-            return _cmd_lexicon_build(args)
-        if args.command == "parse":
-            return _cmd_parse(args)
-        if args.command == "disambiguate":
-            return _cmd_disambiguate(args)
-        if args.command == "expect":
-            return _cmd_expect(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (LexiconMiss, DeadEnd) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 1
     except (DsvsError, FileNotFoundError) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
-from .errors import NoInhabitants, SignatureMismatch
+from .errors import NoInhabitants, NonFiniteEntry, SignatureMismatch
 from .lexicon import Lexicon
 from .parser import ParseState, Tree, advance_with_sense, evaluate
 from .semtypes import E, application_slot, signature_of
@@ -93,18 +93,22 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
 
 
 class _Lazy(Sequence):
-    """A read-only sequence whose items are computed when read.
+    """A read-only sequence of n items, item(i) computed when read, for
+    0 <= i < n; indexing adds negative indices, slices (as tuples) and
+    IndexError."""
 
-    Subclasses give __len__ and _item(i) for 0 <= i < len(self); indexing
-    here adds negative indices, slices (as tuples) and IndexError.
-    """
+    __slots__ = ("_n", "_item")
 
-    __slots__ = ()
+    def __init__(self, n: int, item):
+        self._n, self._item = n, item
+
+    def __len__(self):
+        return self._n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self._item(k) for k in range(len(self))[i])
-        return self._item(range(len(self))[i])
+            return tuple(self._item(k) for k in range(self._n)[i])
+        return self._item(range(self._n)[i])
 
 
 class Inventory(_Lazy):
@@ -120,17 +124,15 @@ class Inventory(_Lazy):
     __slots__ = ("_direct", "_functions", "_entities")
 
     def __init__(self, direct, functions, entities):
+        def item(i):  # holds the three tuples, not self: no reference cycle
+            if i < len(direct):
+                return direct[i]
+            k, j = divmod(i - len(direct), len(entities))
+            (f, slot), a = functions[k], entities[j]
+            return f"{f.sense_id}+{a.sense_id}", contract(f.tensor, a.tensor, [(slot, 0)])
+
+        super().__init__(len(direct) + len(functions) * len(entities), item)
         self._direct, self._functions, self._entities = direct, functions, entities
-
-    def __len__(self):
-        return len(self._direct) + len(self._functions) * len(self._entities)
-
-    def _item(self, i):
-        if i < len(self._direct):
-            return self._direct[i]
-        k, j = divmod(i - len(self._direct), len(self._entities))
-        (f, slot), a = self._functions[k], self._entities[j]
-        return f"{f.sense_id}+{a.sense_id}", contract(f.tensor, a.tensor, [(slot, 0)])
 
     def total(self) -> Tensor:
         """Entrywise sum of every item (there must be one), in closed form.
@@ -151,21 +153,6 @@ class Inventory(_Lazy):
             for slot, group in groups.items():
                 parts.append(contract(sum_tensors(group), argument, [(slot, 0)]))
         return sum_tensors(parts)
-
-
-class _Tensors(_Lazy):
-    """An inventory's tensors without their labels, read through it."""
-
-    __slots__ = ("_inventory",)
-
-    def __init__(self, inventory: Inventory):
-        self._inventory = inventory
-
-    def __len__(self):
-        return len(self._inventory)
-
-    def _item(self, i):
-        return self._inventory._item(i)[1]
 
 
 def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
@@ -192,7 +179,8 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
             raise NoInhabitants(f"lexicon has no tensors of signature {signature!r}")
         value = inventory.total()
         if strategy == "direct_sum":
-            value = TensorTuple(_Tensors(inventory), collapsed=value)
+            tensors = _Lazy(len(inventory), lambda i: inventory[i][1])
+            value = TensorTuple(tensors, collapsed=value)
     lexicon.stand_ins[key] = value
     return value
 
@@ -209,10 +197,10 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     Under direct_sum that pass fills each open leaf with its stand-in's
     collapse (exactly the sum stand-in), and a tree with open leaves
     comes back as TensorTuple(components, collapsed=root).  Component i
-    is the open spine evaluated with open leaf k fixed to alternative k of i,
-    read as a mixed-radix number over the open leaves in functor-first
-    order, the first leaf most significant.  Components are computed when
-    read; len() computes none.
+    is the open spine evaluated with open leaf k fixed to alternative k of
+    i, read as a mixed-radix number over the open leaves in the order
+    evaluate asks for them, the first leaf least significant.  Components
+    are computed when read; len() computes none.
     """
     open_leaves: list = []
 
@@ -227,32 +215,16 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     root = evaluate(tree, stand_in)
     if not open_leaves:
         return root
-    # evaluate asks argument before functor, so reversing gives functor first
-    return TensorTuple(_Choices(tree, open_leaves[::-1]), collapsed=root)
 
-
-class _Choices(_Lazy):
-    """The components of a direct_sum root, each evaluated when read.
-
-    leaves holds (node id, alternatives) per open leaf, first leaf most
-    significant: item i fixes the last leaf to i % len(its alternatives),
-    and so on leftwards.
-    """
-
-    __slots__ = ("_tree", "_leaves")
-
-    def __init__(self, tree: Tree, leaves):
-        self._tree, self._leaves = tree, leaves
-
-    def __len__(self):
-        return prod(len(alternatives) for _, alternatives in self._leaves)
-
-    def _item(self, i):
+    def component(i):
         chosen = {}
-        for node_id, alternatives in reversed(self._leaves):
+        for node_id, alternatives in open_leaves:
             i, digit = divmod(i, len(alternatives))
             chosen[node_id] = alternatives[digit]
-        return evaluate(self._tree, lambda node: chosen[node.node_id])
+        return evaluate(tree, lambda node: chosen[node.node_id])
+
+    n = prod(len(alternatives) for _, alternatives in open_leaves)
+    return TensorTuple(_Lazy(n, component), collapsed=root)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +249,8 @@ class PlausibilityScore:
         top = vector.array[0].item()
         bottom = vector.array[1].item()
         total = top + bottom
+        if abs(total) == inf:  # two finite floats can overflow; ints cannot
+            raise NonFiniteEntry(f"plausibility total {top} + {bottom} is not a finite number")
         ratio = 0.5 if total == 0 else top / total
         return cls(top, bottom, ratio)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -70,31 +71,13 @@ class CorpusExcerpt:
         if not self.tokens:
             raise ValueError(f"excerpt {self.excerpt_id!r} has no tokens")
 
-    def contains(self, word: str) -> bool:
-        return word in self.tokens
-
 
 def parse_excerpts(text: str, source: str = "<string>") -> list[CorpusExcerpt]:
     """Split corpus text on blank lines into tokenized excerpts."""
-    excerpts = []
-    block: list[str] = []
-    k = 0
-
-    def flush():
-        nonlocal k
-        toks = tokenize(" ".join(block))
-        if toks:
-            excerpts.append(CorpusExcerpt(f"{source}:{k}", toks))
-            k += 1
-        block.clear()
-
-    for line in text.splitlines():
-        if line.strip():
-            block.append(line)
-        else:
-            flush()
-    flush()
-    return excerpts
+    blocks = groupby(text.splitlines(), key=lambda line: bool(line.strip()))
+    tokenized = (tokenize(" ".join(lines)) for filled, lines in blocks if filled)
+    return [CorpusExcerpt(f"{source}:{k}", toks)
+            for k, toks in enumerate(t for t in tokenized if t)]
 
 
 def read_corpus(path) -> list[CorpusExcerpt]:
@@ -116,6 +99,15 @@ def read_corpus(path) -> list[CorpusExcerpt]:
 # counting
 
 
+def _presence(excerpts: list[CorpusExcerpt], words: list[str]) -> np.ndarray:
+    """0/1 int64 matrix, excerpt by word: does the word occur in the excerpt?"""
+    out = np.zeros((len(excerpts), len(words)), dtype=np.int64)
+    for i, ex in enumerate(excerpts):
+        present = set(ex.tokens)
+        out[i] = [w in present for w in words]
+    return out
+
+
 def build_cooccurrence(
     excerpts: list[CorpusExcerpt],
     targets: list[str],
@@ -131,16 +123,8 @@ def build_cooccurrence(
         raise EmptyCorpus("cannot count over zero excerpts")
     t_space = Space("targets", tuple(targets))
     c_space = Space("contexts", tuple(contexts))
-    counts = np.zeros((t_space.dim, c_space.dim), dtype=np.int64)
-    for ex in excerpts:
-        present = set(ex.tokens)
-        t_hits = [i for i, w in enumerate(targets) if w in present]
-        if not t_hits:
-            continue
-        c_hits = [j for j, w in enumerate(contexts) if w in present]
-        for i in t_hits:
-            for j in c_hits:
-                counts[i, j] += 1
+    present = _presence(excerpts, [*targets, *contexts])
+    counts = present[:, :len(targets)].T @ present[:, len(targets):]
     return Tensor(Signature((t_space, c_space)), counts)
 
 
@@ -160,16 +144,9 @@ def build_verb_matrix(
         raise EmptyCorpus("cannot count over zero excerpts")
     w_space = Space("W", tuple(properties))
     s_space = Space("S", (TOP, BOTTOM))
-    counts = np.zeros((w_space.dim, 2), dtype=np.int64)
-    for ex in excerpts:
-        if not ex.contains(verb):
-            continue
-        present = set(ex.tokens)
-        for i, p in enumerate(properties):
-            if p in present:
-                counts[i, 0] += 1
-            else:
-                counts[i, 1] += 1
+    present = _presence(excerpts, [verb, *properties])
+    top = present[:, 0] @ present[:, 1:]
+    counts = np.stack([top, present[:, 0].sum() - top], axis=1)
     return Tensor(Signature((w_space, s_space)), counts)
 
 
@@ -207,9 +184,6 @@ class Sense:
     @property
     def is_link(self) -> bool:
         return self.sem_type is None
-
-    def matches(self, surface: str) -> bool:
-        return surface == self.word or surface in self.forms
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class Tree:
 
     nodes: tuple[Node, ...]
     pointer: int
-    root: int = 0
+    root = 0
 
     @property
     def pointed(self) -> Node:
@@ -81,10 +81,10 @@ class Tree:
     def with_node(self, node: Node) -> "Tree":
         nodes = list(self.nodes)
         nodes[node.node_id] = node
-        return Tree(tuple(nodes), self.pointer, self.root)
+        return Tree(tuple(nodes), self.pointer)
 
     def with_pointer(self, i: int) -> "Tree":
-        return Tree(self.nodes, i, self.root)
+        return Tree(self.nodes, i)
 
     @cached_property
     def open(self) -> tuple[bool, ...]:
@@ -117,13 +117,13 @@ def axiom() -> Tree:
 # evaluation and saturation
 
 
-def evaluate(tree: Tree, stand_in=None):
+def evaluate(tree: Tree, stand_in):
     """Root value of a tree, computing only the nodes without a formula.
 
     A node with a formula is valued by it and nothing under it is visited:
     stored formulae are trusted, as saturate leaves them.  An unmet leaf
-    is valued by stand_in(node), or None without one, asked depth first,
-    argument subtree before functor subtree; adjuncts take no stand-ins.
+    is valued by stand_in(node), asked depth first, argument subtree
+    before functor subtree; adjuncts take no stand-ins.
     An internal node is valued by _compose.  Values are plain tensors;
     alternatives kept apart (direct_sum) are interpret.compile_root's.
     """
@@ -136,7 +136,7 @@ def _value(tree: Tree, i: int, fill):
     if n.formula is not None:
         return n.formula
     if n.is_leaf:
-        return None if fill is None else fill(n)
+        return fill(n)
     a = _value(tree, n.argument, fill)  # first, so stand-ins keep their order
     return _compose(tree.nodes, tree, n, _value(tree, n.functor, fill), a)
 
@@ -174,13 +174,15 @@ def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
     nodes[at] = _dc_replace(nodes[at], argument=base, functor=base + 1)
     nodes.append(Node(base, *argument, parent=at))
     nodes.append(Node(base + 1, *functor, parent=at))
-    return Tree(tuple(nodes), pointer=base, root=tree.root)
+    return Tree(tuple(nodes), pointer=base)
 
 
 def _predict(tree: Tree) -> Tree:
     """Sprout a pointed bare proposition requirement into an entity
     requirement (taking the pointer) and a predicate requirement; any
-    other tree comes back as it is."""
+    other tree comes back as it is.  Adjuncts come pre-grown from
+    apply_link and arguments are entities, so in a parse this fires on
+    the axiom only."""
     p = tree.pointed
     if p.requirement and p.sem_type == T and p.is_leaf:
         return _sprout(tree, p.node_id, (E, None), (ET, None))
@@ -211,7 +213,7 @@ def saturate(tree: Tree) -> Tree:
             if changed:
                 nodes[i] = _dc_replace(n, formula=v)
         if n.parent is None:
-            saturated = Tree(tuple(nodes), tree.pointer, tree.root)
+            saturated = Tree(tuple(nodes), tree.pointer)
             saturated.__dict__["open"] = tree.open
             return saturated
         changed = changed and nodes[n.parent].link != i
@@ -267,14 +269,14 @@ def apply_computational(tree: Tree) -> list[Tree]:
 # word actions
 
 
-def apply_link(tree: Tree, relative_pronoun: bool = True) -> list[Tree]:
-    """Hang an adjunct tree off the pointed node.
+def apply_link(tree: Tree) -> list[Tree]:
+    """Hang a relative clause's adjunct tree off the pointed node.
 
     The pointed node must be a formula-bearing entity node without an
-    adjunct already.  With relative_pronoun the new tree comes pre-grown:
-    its argument daughter repeats the host's formula (the head noun is the
-    adjunct clause's subject) and the pointer rests there; otherwise the
-    adjunct is a bare proposition requirement holding the pointer.
+    adjunct already.  The adjunct comes pre-grown: its argument daughter
+    repeats the host's formula (the head noun is the clause's subject) and
+    holds the pointer, its functor daughter awaits the predicate.  No
+    adjunct is ever a bare proposition requirement.
     """
     p = tree.pointed
     if not (p.sem_type == E and p.complete and p.link is None):
@@ -284,10 +286,8 @@ def apply_link(tree: Tree, relative_pronoun: bool = True) -> list[Tree]:
         )
     base = len(tree.nodes)
     hung = tree.with_node(_dc_replace(p, link=base))
-    linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base, tree.root)
-    if relative_pronoun:
-        linked = _sprout(linked, base, (E, p.formula), (ET, None))
-    return [linked]
+    linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base)
+    return [_sprout(linked, base, (E, p.formula), (ET, None))]
 
 
 def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:

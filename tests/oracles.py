@@ -89,3 +89,49 @@ def sentence_vector(subject, verb_matrix):
 def transitive_vector(subject, cube, obj):
     """subject . (cube applied to object at its last slot)."""
     return contract_lists(contract_lists(cube, obj, [(2, 0)]), subject, [(0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# corpus counting: an excerpt is a plain list of tokens
+
+
+def split_excerpts(text, tokenize):
+    """Token lists of the blank-line-delimited blocks of text, read line by
+    line; a block that tokenizes to nothing is dropped."""
+    excerpts, block = [], []
+
+    def flush():
+        toks = tokenize(" ".join(block))
+        if toks:
+            excerpts.append(toks)
+        block.clear()
+
+    for line in text.splitlines():
+        if line.strip():
+            block.append(line)
+        else:
+            flush()
+    flush()
+    return excerpts
+
+
+def cooccurrence_lists(excerpts, targets, contexts):
+    """counts[i][j]: excerpts holding both targets[i] and contexts[j]."""
+    counts = [[0] * len(contexts) for _ in targets]
+    for tokens in excerpts:
+        for i, t in enumerate(targets):
+            for j, c in enumerate(contexts):
+                if t in tokens and c in tokens:
+                    counts[i][j] += 1
+    return counts
+
+
+def verb_matrix_lists(excerpts, verb, properties):
+    """Row p: [excerpts holding the verb and p, holding the verb but not p]."""
+    counts = [[0, 0] for _ in properties]
+    for tokens in excerpts:
+        if verb not in tokens:
+            continue
+        for i, p in enumerate(properties):
+            counts[i][0 if p in tokens else 1] += 1
+    return counts

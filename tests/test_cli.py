@@ -254,6 +254,23 @@ def test_float_overflow_is_reported_once_without_a_warning(tmp_path):
     assert proc.stderr == "dsvs: tensor entry inf is not a finite number\n"
 
 
+def test_plausibility_overflow_exits_two(capsys, tmp_path):
+    # root [1e308, 1e308] is finite, but top + bottom overflows
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    for sense in doc["senses"]:
+        if sense["id"] == "baby#n":
+            sense["tensor"] = [1e154, 0, 0, 0]
+        if sense["id"] == "vomit#v":
+            sense["tensor"][0] = [1e154, 1e154]
+    path = tmp_path / "overflow.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = "dsvs: plausibility total 1e+308 + 1e+308 is not a finite number\n"
+    for argv in (["parse", "babies vomit"], ["disambiguate", "babies vomit"],
+                 ["expect", "--after", "babies", "--candidates", "vomit,score"]):
+        code, out, err = run(capsys, argv[0], "--lexicon", str(path), *argv[1:])
+        assert (code, out, err) == (2, "", message)
+
+
 def test_bad_usage_exits_two(capsys):
     assert run(capsys, "parse", "--lexicon", BASE, "--strategy", "zzz", "x")[0] == 2
     assert run(capsys)[0] == 2

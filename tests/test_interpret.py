@@ -13,6 +13,7 @@ from dsvs import (
     DeadEnd,
     Lexicon,
     NoInhabitants,
+    NonFiniteEntry,
     Sense,
     Signature,
     SignatureMismatch,
@@ -364,6 +365,17 @@ def test_plausibility_needs_a_two_point_vector():
         plausibility(Tensor(Signature((w,)), [1, 2, 3]))
     with pytest.raises(SignatureMismatch):
         plausibility(Tensor(Signature((w, s)), [[1, 2], [3, 4], [5, 6]]))
+
+
+def test_plausibility_refuses_a_total_that_overflows():
+    # both entries are finite, but their sum is not: the ratio would read 0.0
+    s = Space("S", (TOP, BOTTOM))
+    with pytest.raises(NonFiniteEntry, match="not a finite number"):
+        plausibility(Tensor(Signature((s,)), [1e308, 1e308]))
+    assert plausibility(Tensor(Signature((s,)), [1e308, 0.0])).ratio == 1.0
+    big = np.iinfo(np.int64).max
+    score = plausibility(Tensor(Signature((s,)), [big, big]))
+    assert (score.top + score.bottom, score.ratio) == (2 * big, 0.5)
 
 
 def test_direct_sum_scores_equal_sum_scores_on_a_float_lexicon(traces_lex):

@@ -317,12 +317,39 @@ def test_apply_link_structure(traces_lex):
     assert linked.pointer == copy.node_id
 
 
-def test_apply_link_without_subject_copy(traces_lex):
-    st = after("mary", traces_lex)
-    linked = apply_link(first_tree(st), relative_pronoun=False)[0]
-    adjunct_root = linked.nodes[linked.pointed.node_id]
-    assert adjunct_root.sem_type == T and adjunct_root.requirement
-    assert adjunct_root.argument is None and adjunct_root.functor is None
+@pytest.mark.parametrize("lexname", ["traces", "base", "split"])
+def test_no_word_leaves_the_pointer_on_a_bare_proposition_requirement(
+    lexname, traces_lex, base_lex, split_lex
+):
+    # adjuncts come pre-grown, so after the axiom saturation never predicts:
+    # no sense at any reachable position leaves the pointer on a proposition
+    # requirement without daughters, and no candidate tree holds one
+    lex = {"traces": traces_lex, "base": base_lex, "split": split_lex}[lexname]
+    vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
+
+    def bare(n):
+        return n.sem_type == T and n.requirement and n.is_leaf
+
+    states, grown_by = [initial_state()], {True: 0, False: 0}
+    for _ in range(4):  # every live prefix of up to four words
+        nxt = []
+        for state in states:
+            for cand in state.candidates:
+                for variant in apply_computational(cand.tree):
+                    for sense in lex.senses:
+                        grown = apply_lexical(variant, sense)
+                        if grown is not None:
+                            assert not bare(grown.pointed), (state.consumed, sense.sense_id)
+                            grown_by[sense.is_link] += 1
+            for word in vocabulary:
+                try:
+                    nxt.append(parse_word(state, word, lex))
+                except DeadEnd:
+                    continue
+                for cand in nxt[-1].candidates:
+                    assert not any(bare(n) for n in cand.tree.nodes), cand.senses
+        states = nxt
+    assert grown_by[True] >= 10 and grown_by[False] >= 50
 
 
 def test_apply_link_rejects_bad_hosts(traces_lex):

@@ -19,6 +19,9 @@ the clause folded in.
 The contraction kernel lays each contraction out once per signature pair
 and applies the layout itself; the reference for it is numpy's tensordot,
 bit for bit.
+
+Corpus splitting and counting are checked against line-by-line and
+excerpt-by-excerpt loops over plain token lists, empty arguments included.
 """
 
 import gc
@@ -37,8 +40,10 @@ from dsvs import (
     BOTTOM,
     STRATEGIES,
     TOP,
+    CorpusExcerpt,
     DeadEnd,
     DuplicateSlot,
+    EmptyCorpus,
     Lexicon,
     NonFiniteEntry,
     Sense,
@@ -53,6 +58,8 @@ from dsvs import (
     application_slot,
     apply_computational,
     axiom,
+    build_cooccurrence,
+    build_verb_matrix,
     canonical_view,
     compile_root,
     contract,
@@ -62,12 +69,14 @@ from dsvs import (
     known_inhabitants,
     load_lexicon,
     mu,
+    parse_excerpts,
     parse_sequence,
     parse_type,
     parse_word,
     plausibility,
     saturate,
     signature_of,
+    tokenize,
     underspec_tensor,
 )
 
@@ -464,3 +473,63 @@ def test_a_non_finite_result_is_refused_without_a_warning(drawn, b_entry):
                 contract(a, b, pairs)
             with pytest.raises(NonFiniteEntry):
                 mu(b, b)
+
+
+# ---------------------------------------------------------------------------
+# corpus splitting and counting
+
+
+CORPUS_WORDS = ["infant", "nappy", "goal", "dribble", "score"]
+
+
+def corpora():
+    """Lists of excerpts, possibly none, each a non-empty token list."""
+    words = st.sampled_from(CORPUS_WORDS + ["milk", "net"])
+    return st.lists(st.lists(words, min_size=1, max_size=8), max_size=10)
+
+
+def word_lists():
+    return st.lists(st.sampled_from(CORPUS_WORDS + ["absent"]), unique=True, max_size=4)
+
+
+def _excerpts(token_lists):
+    return [CorpusExcerpt(str(k), tokens) for k, tokens in enumerate(token_lists)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(st.sampled_from("ab C.,!-' \t\n\r\x0b\x0c\x85\u2028\u3000"), max_size=60))
+def test_excerpt_splitting_matches_the_line_loop(text):
+    got = parse_excerpts(text, source="s")
+    want = oracles.split_excerpts(text, tokenize)
+    assert [e.excerpt_id for e in got] == [f"s:{k}" for k in range(len(want))]
+    assert [list(e.tokens) for e in got] == want
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(corpora(), word_lists(), word_lists())
+def test_cooccurrence_matches_the_excerpt_loop(token_lists, targets, contexts):
+    if not token_lists:
+        with pytest.raises(EmptyCorpus):
+            build_cooccurrence([], targets, contexts)
+    elif not targets or not contexts:
+        with pytest.raises(ValueError, match="at least one basis label"):
+            build_cooccurrence(_excerpts(token_lists), targets, contexts)
+    else:
+        got = build_cooccurrence(_excerpts(token_lists), targets, contexts)
+        assert got.array.dtype == np.int64
+        assert got.tolist() == oracles.cooccurrence_lists(token_lists, targets, contexts)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(corpora(), st.sampled_from(CORPUS_WORDS + ["absent"]), word_lists())
+def test_verb_matrix_matches_the_excerpt_loop(token_lists, verb, properties):
+    if not token_lists:
+        with pytest.raises(EmptyCorpus):
+            build_verb_matrix([], verb, properties)
+    elif not properties:
+        with pytest.raises(ValueError, match="at least one basis label"):
+            build_verb_matrix(_excerpts(token_lists), verb, properties)
+    else:
+        got = build_verb_matrix(_excerpts(token_lists), verb, properties)
+        assert got.array.dtype == np.int64
+        assert got.tolist() == oracles.verb_matrix_lists(token_lists, verb, properties)
