@@ -99,15 +99,6 @@ def read_corpus(path) -> list[CorpusExcerpt]:
 # counting
 
 
-def _presence(excerpts: list[CorpusExcerpt], words: list[str]) -> np.ndarray:
-    """0/1 int64 matrix, excerpt by word: does the word occur in the excerpt?"""
-    out = np.zeros((len(excerpts), len(words)), dtype=np.int64)
-    for i, ex in enumerate(excerpts):
-        present = set(ex.tokens)
-        out[i] = [w in present for w in words]
-    return out
-
-
 def build_cooccurrence(
     excerpts: list[CorpusExcerpt],
     targets: list[str],
@@ -123,8 +114,16 @@ def build_cooccurrence(
         raise EmptyCorpus("cannot count over zero excerpts")
     t_space = Space("targets", tuple(targets))
     c_space = Space("contexts", tuple(contexts))
-    present = _presence(excerpts, [*targets, *contexts])
-    counts = present[:, :len(targets)].T @ present[:, len(targets):]
+    counts = np.zeros((t_space.dim, c_space.dim), dtype=np.int64)
+    for ex in excerpts:
+        present = set(ex.tokens)
+        t_hits = [i for i, w in enumerate(targets) if w in present]
+        if not t_hits:
+            continue
+        c_hits = [j for j, w in enumerate(contexts) if w in present]
+        for i in t_hits:
+            for j in c_hits:
+                counts[i, j] += 1
     return Tensor(Signature((t_space, c_space)), counts)
 
 
@@ -144,9 +143,12 @@ def build_verb_matrix(
         raise EmptyCorpus("cannot count over zero excerpts")
     w_space = Space("W", tuple(properties))
     s_space = Space("S", (TOP, BOTTOM))
-    present = _presence(excerpts, [verb, *properties])
-    top = present[:, 0] @ present[:, 1:]
-    counts = np.stack([top, present[:, 0].sum() - top], axis=1)
+    counts = np.zeros((w_space.dim, 2), dtype=np.int64)
+    for ex in excerpts:
+        if verb in ex.tokens:
+            present = set(ex.tokens)
+            for i, p in enumerate(properties):
+                counts[i, 0 if p in present else 1] += 1
     return Tensor(Signature((w_space, s_space)), counts)
 
 
