@@ -16,14 +16,12 @@ from .errors import (
     EmptyList,
     EmptySignature,
     LexiconMiss,
-    LinkUnavailable,
     NoInhabitants,
     NonFiniteEntry,
     ParseError,
     SignatureMismatch,
     SlotOutOfRange,
     SpaceMismatch,
-    UnmappedType,
     ValidationError,
 )
 from .fixtures import fixture_path

@@ -44,14 +44,6 @@ class NonFiniteEntry(DsvsError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# type layer
-
-
-class UnmappedType(DsvsError):
-    """A semantic type has no tensor signature under the current space map."""
-
-
-# ---------------------------------------------------------------------------
 # lexicon layer
 
 
@@ -97,10 +89,6 @@ class DeadEnd(DsvsError):
         super().__init__(f"no parse survives {word!r} (word {position})")
         self.word = word
         self.position = position
-
-
-class LinkUnavailable(DsvsError):
-    """An adjunct tree was requested at a node that cannot host one."""
 
 
 # ---------------------------------------------------------------------------

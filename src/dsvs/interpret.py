@@ -241,7 +241,7 @@ class PlausibilityScore:
 
     @classmethod
     def of(cls, vector: Tensor) -> "PlausibilityScore":
-        if vector.rank != 1 or vector.signature.dims != (2,):
+        if vector.signature.dims != (2,):
             raise SignatureMismatch(
                 f"plausibility needs a vector over a two-point space, got "
                 f"{vector.signature!r}"

@@ -225,9 +225,10 @@ class Lexicon:
             if s.tensor is not None and not check_formula(
                 s.sem_type, s.tensor, self.space_map
             ):
+                got = (f"tensor signature {s.tensor.signature!r}" if isinstance(s.tensor, Tensor)
+                       else f"a {type(s.tensor).__name__} formula")
                 raise ValidationError(
-                    f"sense {s.sense_id!r}: tensor signature "
-                    f"{s.tensor.signature!r} does not fit type {s.sem_type} "
+                    f"sense {s.sense_id!r}: {got} does not fit type {s.sem_type} "
                     f"(expected {signature_of(s.sem_type, self.space_map)!r})"
                 )
             if s.tensor is not None and (s.tensor.array < 0).any():

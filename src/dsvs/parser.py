@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dc_replace
 from functools import cached_property
 
-from .errors import DeadEnd, LexiconMiss, LinkUnavailable
+from .errors import DeadEnd, LexiconMiss
 from .lexicon import Lexicon, Sense
 from .semtypes import E, SemType, T, application_slot, fn
 from .tensor import Tensor, contract, mu
@@ -269,25 +269,22 @@ def apply_computational(tree: Tree) -> list[Tree]:
 # word actions
 
 
-def apply_link(tree: Tree) -> list[Tree]:
+def apply_link(tree: Tree) -> Tree | None:
     """Hang a relative clause's adjunct tree off the pointed node.
 
-    The pointed node must be a formula-bearing entity node without an
-    adjunct already.  The adjunct comes pre-grown: its argument daughter
+    None unless the pointed node is a formula-bearing entity node without
+    an adjunct already.  The adjunct comes pre-grown: its argument daughter
     repeats the host's formula (the head noun is the clause's subject) and
     holds the pointer, its functor daughter awaits the predicate.  No
     adjunct is ever a bare proposition requirement.
     """
     p = tree.pointed
     if not (p.sem_type == E and p.complete and p.link is None):
-        raise LinkUnavailable(
-            f"node {p.node_id} cannot host an adjunct "
-            f"(needs a finished entity node with no adjunct yet)"
-        )
+        return None
     base = len(tree.nodes)
     hung = tree.with_node(_dc_replace(p, link=base))
     linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base)
-    return [_sprout(linked, base, (E, p.formula), (ET, None))]
+    return _sprout(linked, base, (E, p.formula), (ET, None))
 
 
 def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
@@ -297,14 +294,11 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
     requirement leaf decorates it.  A function sense whose result type
     matches a pointed requirement leaf of function type grows the leaf:
     a fresh entity requirement (taking the pointer) plus a functor daughter
-    carrying the sense's tensor.  A link sense hangs an adjunct tree off a
-    finished entity node.
+    carrying the sense's tensor.  A link sense is apply_link's: it hangs an
+    adjunct tree off a finished entity node, or gives None.
     """
     if sense.is_link:
-        try:
-            return apply_link(tree)[0]
-        except LinkUnavailable:
-            return None
+        return apply_link(tree)
 
     p = tree.pointed
     if not (p.requirement and p.is_leaf):

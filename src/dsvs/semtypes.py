@@ -1,12 +1,14 @@
 """Semantic types and their tensor signatures.
 
 The type family used here is built from two atoms, e (entities) and t
-(propositions), closed under function types whose argument is e:
+(propositions), closed under function types whose argument is e and whose
+result is not:
 
     e, t, <e,t>, <e,<e,t>>, ...
 
-A SpaceMap assigns a vector space to each atom.  Every type in the family
-then denotes a tensor signature:
+SemType refuses any other type when it is built.  A SpaceMap assigns a
+vector space to each atom.  Every type in the family then denotes a
+tensor signature:
 
     e            -> (E,)
     t            -> (S,)
@@ -23,13 +25,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import UnmappedType
-from .tensor import Signature, Space, Tensor, TensorTuple
+from .tensor import Signature, Space, Tensor
 
 
 @dataclass(frozen=True)
 class SemType:
-    """An atomic or function type.  Use E, T, and fn() to build instances."""
+    """A type of the family: e, t, or a function from e to anything but e.
+    Use E, T, and fn() to build instances; other types raise ValueError."""
 
     atom: str | None = None
     arg: "SemType | None" = None
@@ -41,6 +43,8 @@ class SemType:
                 raise ValueError(f"bad atomic type {self.atom!r}")
         elif self.arg is None or self.res is None:
             raise ValueError("function type needs both argument and result")
+        elif self.arg != E or self.res == E:
+            raise ValueError(f"function type {self} needs argument e and result not e")
 
     @property
     def is_function(self) -> bool:
@@ -99,31 +103,23 @@ class SpaceMap:
 def signature_of(ty: SemType, smap: SpaceMap) -> Signature:
     """Tensor signature denoted by a type under a space map.
 
-    Raises UnmappedType for types outside the e...et family (for instance a
-    type whose argument is itself a function).
+    Total, since every SemType lies in the e...et family.
     """
     if ty == E:
         return Signature((smap.entity,))
     if ty == T:
         return Signature((smap.sentence,))
-    if ty.is_function and ty.arg == E:
-        if ty.res == T:
-            return Signature((smap.entity, smap.sentence))
-        inner = signature_of(ty.res, smap)
-        return Signature(tuple(inner) + (smap.entity,))
-    raise UnmappedType(f"no tensor signature for type {ty}")
+    if ty.res == T:
+        return Signature((smap.entity, smap.sentence))
+    return Signature(tuple(signature_of(ty.res, smap)) + (smap.entity,))
 
 
 def check_formula(ty: SemType, formula, smap: SpaceMap) -> bool:
-    """True when a tensor (or tuple of tensors) fits a type's signature.
+    """True when formula is a Tensor of the type's signature.
 
-    Total: unmappable types and wrong signatures both return False.
+    Anything else, a TensorTuple or a nested list included, is False.
     """
-    try:
-        sig = signature_of(ty, smap)
-    except UnmappedType:
-        return False
-    return isinstance(formula, (Tensor, TensorTuple)) and formula.signature == sig
+    return isinstance(formula, Tensor) and formula.signature == signature_of(ty, smap)
 
 
 def application_slot(ty: SemType) -> int:

@@ -16,6 +16,7 @@ from dsvs import (
     Space,
     SpaceMap,
     Tensor,
+    TensorTuple,
     ValidationError,
     build_cooccurrence,
     build_verb_matrix,
@@ -168,6 +169,17 @@ def test_lexicon_validation():
     with pytest.raises(ValidationError) as err:
         Lexicon((W, S), SMAP, (a, bad))
     assert "v#v" in str(err.value)
+
+
+@pytest.mark.parametrize("formula", [
+    TensorTuple((Tensor(Signature((W, S)), [[1, 2], [3, 4]]),) * 2),
+    [[1, 2], [3, 4]],
+])
+def test_lexicon_refuses_a_formula_that_is_not_a_tensor(formula):
+    bad = Sense("v#v", "v", parse_type("et"), formula)
+    with pytest.raises(ValidationError) as err:
+        Lexicon((W, S), SMAP, (noun("a#n", "a", [1, 2]), bad))
+    assert "v#v" in str(err.value) and type(formula).__name__ in str(err.value)
 
 
 def test_lexicon_refuses_negative_entries():

@@ -9,7 +9,6 @@ from dsvs import (
     T,
     Tensor,
     TensorTuple,
-    UnmappedType,
     application_slot,
     check_formula,
     fn,
@@ -61,25 +60,26 @@ def test_signatures_of_the_type_family():
     assert signature_of(parse_type("eeet"), SMAP) == Signature((W, S, W, W))
 
 
-def test_signature_of_unmappable_type():
-    weird = fn(fn(E, T), T)
-    with pytest.raises(UnmappedType):
-        signature_of(weird, SMAP)
+def test_types_outside_the_family_are_refused():
+    # a function type needs argument e and a result other than e
+    for weird in ((fn(E, T), T), (E, E), (T, T), (fn(E, T), fn(E, T))):
+        with pytest.raises(ValueError):
+            fn(*weird)
 
 
-def test_check_formula():
+def test_check_formula_accepts_only_tensors():
     noun = Tensor(Signature((W,)), [1, 2, 3])
     verb = Tensor(Signature((W, S)), [[1, 2], [3, 4], [5, 6]])
     assert check_formula(E, noun, SMAP)
     assert check_formula(parse_type("et"), verb, SMAP)
     assert not check_formula(E, verb, SMAP)
     assert not check_formula(T, noun, SMAP)
-    assert check_formula(parse_type("et"), TensorTuple((verb, verb)), SMAP)
     assert not check_formula(E, TensorTuple((verb,)), SMAP)
     assert not check_formula(E, None, SMAP)
     assert not check_formula(E, [1, 2, 3], SMAP)
-    # unmappable types are simply false, not an error
-    assert not check_formula(fn(fn(E, T), T), noun, SMAP)
+    # a tuple of fitting tensors is not a formula, nor is a nested list
+    assert not check_formula(parse_type("et"), TensorTuple((verb, verb)), SMAP)
+    assert not check_formula(parse_type("et"), [[1, 2], [3, 4], [5, 6]], SMAP)
 
 
 def test_application_slot():
