@@ -10,13 +10,16 @@ a leaf an argument daughter, which takes the pointer, and a functor one.
 After each word the tree saturates: a pointed bare proposition
 requirement grows (prediction), and any node whose daughters both carry
 formulae receives the contraction of functor against argument.  At
-proposition nodes the contraction is additionally multiplied entrywise
-with the root formula of every finished adjunct tree in the clause.  A
-word changes values only on the mother chain of the node it touched, so
-saturation recomputes that chain alone, and evaluate, which interpret
-runs with stand-ins at unmet requirements, computes only the nodes that
-store no formula.  A tree is valued once per word: pointer travel only
-predicts.
+proposition nodes that contraction, the node's product, is additionally
+multiplied entrywise with the root formula of every finished adjunct tree
+in the clause, and the node keeps its product beside the folded formula.
+A word changes values only on the mother chain of the node it touched, so
+saturation revisits that chain alone: it contracts a node again only when
+a daughter got a new value, and refolds every other proposition node on
+the chain from its stored product, whose adjuncts may have finished or
+reopened.  evaluate, which interpret runs with stand-ins at unmet
+requirements, computes only the nodes that store no formula.  A tree is
+valued once per word: pointer travel only predicts.
 
 The pointer marks where the next word may act.  It can travel up from a
 finished node to its mother (also crossing from a finished adjunct root
@@ -29,7 +32,7 @@ and parsing a locally ambiguous word multiplies the candidate set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DeadEnd, LexiconMiss
@@ -42,8 +45,14 @@ ET = fn(E, T)
 
 @dataclass(frozen=True)
 class Node:
-    """One tree node.  Its formula is its only state: a node without one
-    is a requirement, a node with one is complete."""
+    """One tree node.  Its formula is its state: a node without one is a
+    requirement, a node with one is complete.
+
+    An internal proposition node with a formula also keeps its product,
+    its functor's formula contracted against its argument's, which the
+    formula is folded from (see saturate).  The product follows from the
+    daughters' formulae, so nodes compare and print without it.
+    """
 
     node_id: int
     sem_type: SemType
@@ -52,6 +61,7 @@ class Node:
     functor: int | None = None
     link: int | None = None
     parent: int | None = None
+    product: Tensor | None = field(default=None, compare=False, repr=False)
 
     @property
     def requirement(self) -> bool:
@@ -123,8 +133,9 @@ def evaluate(tree: Tree, stand_in):
     A node with a formula is valued by it and nothing under it is visited:
     stored formulae are trusted, as saturate leaves them.  An unmet leaf
     is valued by stand_in(node), asked depth first, argument subtree
-    before functor subtree; adjuncts take no stand-ins.
-    An internal node is valued by _compose.  Values are plain tensors;
+    before functor subtree; adjuncts take no stand-ins.  An internal node
+    is valued by _fold of its _product, as saturate values it; such a node
+    has no formula, so no stored product either.  Values are plain tensors;
     alternatives kept apart (direct_sum) are interpret.compile_root's.
     """
     return _value(tree, tree.root, stand_in)
@@ -138,31 +149,38 @@ def _value(tree: Tree, i: int, fill):
     if n.is_leaf:
         return fill(n)
     a = _value(tree, n.argument, fill)  # first, so stand-ins keep their order
-    return _compose(tree.nodes, tree, n, _value(tree, n.functor, fill), a)
+    f = _value(tree, n.functor, fill)
+    return _fold(tree.nodes, tree, n, _product(tree.nodes, n, f, a))
 
 
-def _compose(nodes, flagged: Tree, n: Node, f, a):
-    """Internal node n's value from its functor's value f and argument's a.
-
-    None unless both are values; else f contracted against a at the
-    functor's application slot, and at a proposition node multiplied
-    entrywise with the root formula of every finished adjunct in n's
-    clause, in pre-order: n's own, those under its argument, then those
-    under its functor.  An adjunct root without a formula is unfinished;
-    whether one with a formula was reopened below, the Tree.open flags of
-    flagged, a tree with the leaves of nodes, tell.
-    """
+def _product(nodes, n: Node, f, a):
+    """Internal node n's unfolded value from its functor's value f and
+    argument's a: None unless both are values, else f contracted against
+    a at the functor's application slot."""
     if f is None or a is None:
         return None
-    v = contract(f, a, [(application_slot(nodes[n.functor].sem_type), 0)])
-    if n.sem_type == T:
-        stack = [n.node_id]
-        while stack:
-            m = nodes[stack.pop()]
-            j = m.link
-            if j is not None and nodes[j].complete and not flagged.open[j]:
-                v = mu(v, nodes[j].formula)
-            stack.extend(c for c in (m.functor, m.argument) if c is not None)
+    return contract(f, a, [(application_slot(nodes[n.functor].sem_type), 0)])
+
+
+def _fold(nodes, flagged: Tree, n: Node, v):
+    """Internal node n's value from its product v.
+
+    v itself, None included, except at a proposition node, where v is
+    multiplied entrywise with the root formula of every finished adjunct
+    in n's clause, in pre-order: n's own, those under its argument, then
+    those under its functor.  An adjunct root without a formula is
+    unfinished; whether one with a formula was reopened below, the
+    Tree.open flags of flagged, a tree with the leaves of nodes, tell.
+    """
+    if v is None or n.sem_type != T:
+        return v
+    stack = [n.node_id]
+    while stack:
+        m = nodes[stack.pop()]
+        j = m.link
+        if j is not None and nodes[j].complete and not flagged.open[j]:
+            v = mu(v, nodes[j].formula)
+        stack.extend(c for c in (m.functor, m.argument) if c is not None)
     return v
 
 
@@ -171,7 +189,8 @@ def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
     each a (type, formula) pair; the argument takes the pointer."""
     base = len(tree.nodes)
     nodes = list(tree.nodes)
-    nodes[at] = _dc_replace(nodes[at], argument=base, functor=base + 1)
+    m = nodes[at]
+    nodes[at] = Node(at, m.sem_type, m.formula, base, base + 1, m.link, m.parent)
     nodes.append(Node(base, *argument, parent=at))
     nodes.append(Node(base + 1, *functor, parent=at))
     return Tree(tuple(nodes), pointer=base)
@@ -192,15 +211,17 @@ def _predict(tree: Tree) -> Tree:
 def saturate(tree: Tree) -> Tree:
     """Predict at the pointed node, then revalue the pointer's mother chain.
 
-    Formulae off the chain are trusted, as apply_lexical leaves a tree
-    parse_word kept.  The walk goes up to the root, crossing from an
-    adjunct root to its host, and stores as formula the recomputed value
-    of every proposition node, whose adjuncts may have finished or
-    reopened, and of any other internal node whose chain daughter got a
-    new value (a host does not depend on its adjunct).  Which adjuncts are
-    finished is read from the predicted tree's flags: saturation changes
-    internal formulae only, never leaves, so the saturated tree takes the
-    same flags over.
+    Formulae and products off the chain are trusted, as apply_lexical
+    leaves a tree parse_word kept.  The walk goes up to the root, crossing
+    from an adjunct root to its host.  An internal node whose chain
+    daughter got a new value (a host does not depend on its adjunct) is
+    contracted again; every other proposition node on the chain, whose
+    adjuncts may have finished or reopened, is refolded from its stored
+    product with mu alone, and contracted only if it stores none.  Each
+    stores the folded value as formula, and a proposition node its product
+    too.  Which adjuncts are finished is read from the predicted tree's
+    flags: saturation changes internal formulae only, never leaves, so the
+    saturated tree takes the same flags over.
     """
     tree = _predict(tree)
     nodes = list(tree.nodes)
@@ -208,10 +229,13 @@ def saturate(tree: Tree) -> Tree:
     while True:
         n = nodes[i]
         if not n.is_leaf and (changed or n.sem_type == T):
-            v = _compose(nodes, tree, n, nodes[n.functor].formula, nodes[n.argument].formula)
-            changed = v is not None
+            p = n.product
+            if changed or p is None:
+                p = _product(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
+            changed = p is not None
             if changed:
-                nodes[i] = _dc_replace(n, formula=v)
+                nodes[i] = Node(i, n.sem_type, _fold(nodes, tree, n, p), n.argument, n.functor,
+                                n.link, n.parent, p if n.sem_type == T else None)
         if n.parent is None:
             saturated = Tree(tuple(nodes), tree.pointer)
             saturated.__dict__["open"] = tree.open
@@ -282,7 +306,8 @@ def apply_link(tree: Tree) -> Tree | None:
     if not (p.sem_type == E and p.complete and p.link is None):
         return None
     base = len(tree.nodes)
-    hung = tree.with_node(_dc_replace(p, link=base))
+    hung = tree.with_node(
+        Node(p.node_id, p.sem_type, p.formula, p.argument, p.functor, base, p.parent))
     linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base)
     return _sprout(linked, base, (E, p.formula), (ET, None))
 
@@ -306,7 +331,8 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
     ty = sense.sem_type
 
     if ty == p.sem_type:
-        return tree.with_node(_dc_replace(p, formula=sense.tensor))
+        return tree.with_node(
+            Node(p.node_id, p.sem_type, sense.tensor, p.argument, p.functor, p.link, p.parent))
 
     if ty.is_function and ty.res == p.sem_type and p.sem_type.is_function:
         return _sprout(tree, p.node_id, (ty.arg, None), (ty, sense.tensor))

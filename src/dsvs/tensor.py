@@ -50,7 +50,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Space:
-    """A named vector space with an ordered, labelled basis."""
+    """A named vector space with an ordered, labelled basis.
+
+    Equal by value; the hash is computed once, on construction, and a
+    copy or an unpickled space is built anew, so computes its own.
+    """
 
     name: str
     basis: tuple[str, ...]
@@ -61,6 +65,13 @@ class Space:
             raise ValueError(f"space {self.name!r} must have at least one basis label")
         if len(set(self.basis)) != len(self.basis):
             raise ValueError(f"space {self.name!r} has duplicate basis labels")
+        object.__setattr__(self, "_hash", hash((self.name, self.basis)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Space, (self.name, self.basis)
 
     @property
     def dim(self) -> int:
@@ -79,12 +90,24 @@ class Space:
 
 @dataclass(frozen=True)
 class Signature:
-    """An ordered tuple of spaces.  The empty signature denotes a scalar."""
+    """An ordered tuple of spaces.  The empty signature denotes a scalar.
+
+    Equal by value; the hash is computed once, on construction, so that
+    contract's plan lookup does not rehash every space on every call; a
+    copy or an unpickled signature is built anew, as a Space is.
+    """
 
     spaces: tuple[Space, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
+        object.__setattr__(self, "_hash", hash(self.spaces))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Signature, (self.spaces,)
 
     @property
     def dims(self) -> tuple[int, ...]:

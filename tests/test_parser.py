@@ -232,6 +232,22 @@ def test_contractions_per_word_follow_the_proposition_nodes_on_the_chain(
         assert len(parser_contractions) - before <= propositions + 1
 
 
+@pytest.mark.parametrize("k", [9, 20])
+def test_a_word_contracts_at_most_twice_at_any_depth(k, traces_lex, parser_contractions):
+    # a word contracts only in the clause it touched, the verb phrase over
+    # a filled object and the clause itself; every proposition above it is
+    # refolded from its stored product
+    words = ("john likes mary" + " who likes john" * k).split()
+    assert len(words) >= 30
+    state = initial_state()
+    per_word = []
+    for word in words:
+        before = len(parser_contractions)
+        state = parse_word(state, word, traces_lex)
+        per_word.append(len(parser_contractions) - before)
+    assert max(per_word) <= 2
+
+
 @pytest.mark.parametrize("sentence,lexname", [
     ("mary who likes john snores", "traces"),
     ("john likes mary who likes john who", "traces"),

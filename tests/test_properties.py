@@ -11,6 +11,13 @@ Stand-ins are kept on the lexicon once built; LEXICONS below is shared by
 every example, so its stand-ins are warm, and a freshly loaded copy gives
 the cold answer to compare against.
 
+A proposition node also keeps its product, which saturation refolds
+instead of contracting the node again when its daughters did not change.
+On random lexicons, along walks whose relative clauses nest and reopen,
+every stored product must equal the contraction of the daughters'
+formulae, and every internal formula the value recomputed from the leaf
+formulae alone.
+
 A direct_sum root builds its components only when they are read.  The
 reference for them is the eager product, restated with lists: every pair
 of daughter components, functor outermost, then every finished adjunct of
@@ -305,6 +312,76 @@ def random_lexicons(draw):
     lex = Lexicon((w, s), SpaceMap(entity=w, sentence=s), tuple(senses))
     vocabulary = sorted({x.word for x in senses})
     return lex, draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
+
+
+@st.composite
+def relative_clause_walks(draw):
+    """A random lexicon as random_lexicons draws it, and a prefix of a
+    sentence over it whose relative clauses nest: a who after a clause's
+    finished object opens a clause inside it, which reopens it."""
+    lex, _ = draw(random_lexicons())
+    word = {
+        kind: st.sampled_from(sorted({s.word for s in lex.senses
+                                      if s.sem_type is not None
+                                      and s.sem_type.compact() == kind}))
+        for kind in ("e", "et", "eet")
+    }
+
+    def noun_phrase(depth):
+        words = [draw(word["e"])]
+        if depth and draw(st.booleans()):
+            words += ["who"] + verb_phrase(depth - 1)
+        return words
+
+    def verb_phrase(depth):
+        if draw(st.booleans()):
+            return [draw(word["et"])]
+        return [draw(word["eet"])] + noun_phrase(depth)
+
+    words = noun_phrase(1) + verb_phrase(4)
+    return lex, words[: draw(st.integers(1, len(words)))]
+
+
+def _from_leaves(tree, i):
+    """Node i's value from the leaf formulae alone, as nested lists; None
+    while its application subtree has an unmet leaf."""
+    n = tree.nodes[i]
+    if n.is_leaf:
+        return None if n.formula is None else n.formula.tolist()
+    f, a = _from_leaves(tree, n.functor), _from_leaves(tree, n.argument)
+    if f is None or a is None:
+        return None
+    v = oracles.contract_lists(f, a, [(application_slot(tree.nodes[n.functor].sem_type), 0)])
+    if n.sem_type == T:
+        for j in _clause_adjuncts(tree, i):
+            if _finished(tree, j):
+                v = oracles.mul_lists(v, _from_leaves(tree, j))
+    return v
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(relative_clause_walks())
+def test_stored_products_are_never_stale(drawn):
+    lex, words = drawn
+    state = initial_state()
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        for cand in state.candidates:
+            tree = cand.tree
+            for i, n in enumerate(tree.nodes):
+                if n.is_leaf:
+                    continue
+                assert (None if n.formula is None else n.formula.tolist()) == _from_leaves(tree, i)
+                if n.sem_type != T or n.formula is None:
+                    assert n.product is None
+                    continue
+                f, a = tree.nodes[n.functor], tree.nodes[n.argument]
+                assert n.product == contract(
+                    f.formula, a.formula, [(application_slot(f.sem_type), 0)]
+                )
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import numpy as np
 import pytest
 
 import oracles
+from dsvs import tensor as tensor_module
 from dsvs import (
     DuplicateSlot,
     EmptyList,
@@ -15,9 +18,13 @@ from dsvs import (
     SpaceMismatch,
     Tensor,
     TensorTuple,
+    compile_root,
     contract,
     direct_sum,
+    fixture_path,
+    load_lexicon,
     mu,
+    parse_sequence,
     sum_tensors,
     unit_tensor,
 )
@@ -47,6 +54,34 @@ def test_signature_order_matters():
     assert Signature((A, B)) != Signature((B, A))
     assert Signature((A, B)).dims == (2, 3)
     assert len(Signature(())) == 0
+
+
+def test_signatures_built_apart_are_equal_and_hash_equal():
+    one = Signature((Space("W", ("x", "y")), Space("S", ("t", "f"))))
+    two = Signature([Space("W", ["x", "y"]), Space("S", ["t", "f"])])
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert {one: "plan"}[two] == "plan"
+    for a, b in zip(one, two):
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert Signature(tuple(one)[::-1]) != one
+    assert Space("W", ("y", "x")) != one[0]
+    for again in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
+        assert again == one and hash(again) == hash(one)
+
+
+def test_a_reloaded_lexicon_finds_the_plans_of_the_first(monkeypatch):
+    words = "john likes mary who sleeps".split()
+    first = load_lexicon(fixture_path("traces"))
+    want = [compile_root(c.tree, first, "sum") for c in parse_sequence(words, first).candidates]
+
+    def planned_again(*args):
+        raise AssertionError("a reloaded lexicon planned a contraction again")
+
+    monkeypatch.setattr(tensor_module, "_plan", planned_again)
+    again = load_lexicon(fixture_path("traces"))
+    assert again.space_map.entity is not first.space_map.entity
+    got = [compile_root(c.tree, again, "sum") for c in parse_sequence(words, again).candidates]
+    assert got == want
 
 
 def test_tensor_shape_checked():
