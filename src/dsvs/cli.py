@@ -205,7 +205,7 @@ def _cmd_disambiguate(args) -> int:
 def _cmd_expect(args) -> int:
     lexicon = _need_lexicon(args.lexicon)
     state = parse_sequence(tokenize(args.after), lexicon)
-    words = [w for w in (t.strip() for t in args.candidates.split(",")) if w]
+    words = tokenize(args.candidates.replace(",", " "))
     entries = expect(state, words, lexicon, args.strategy)
     rank = 0
     for e in entries:

@@ -17,11 +17,11 @@ plus every one-argument saturation of a lexicon function against a lexicon
 entity that lands in it.  known_inhabitants lists them lazily, as a
 labelled inventory whose saturations are contracted only when read.
 Contraction is bilinear, so the sum stand-in needs no enumeration: it is
-the lexicon formulae plus one contraction of summed functions against
-summed entities per function signature, which makes it linear in
-lexicon size.  A lexicon never changes, so each stand-in is built once
-per lexicon, signature and strategy, on first use, and kept in the
-lexicon's stand_ins.
+the lexicon formulae plus at most one contraction, of summed functions
+against summed entities, which makes it linear in lexicon size.  A
+lexicon never changes, so each stand-in is built once per lexicon,
+signature and strategy, on first use, and kept in the lexicon's
+stand_ins.
 
 parser.evaluate composes plain tensors only; the direct_sum rule lives
 here, in compile_root.  Contraction and mu are multilinear, so a
@@ -66,9 +66,7 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     Lexicon formulae of the signature come first, in declaration order,
     then one-argument saturations: each function sense contracted against
     each entity sense at the function's application slot, for functions
-    whose result lands in the requested signature.  An entity argument
-    adds no slot, so that result signature is the function's own minus
-    the application slot, known before contracting.  Saturations are
+    whose result type denotes the requested signature.  Saturations are
     labelled "function+argument".
 
     The result is a read-only lazy sequence of (label, tensor) pairs:
@@ -77,17 +75,15 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     closed form.
     """
     direct, functions, entities = [], [], []
+    smap = lexicon.space_map
     for s in lexicon.senses:
         if s.tensor is None:
             continue
-        spaces = s.tensor.signature.spaces
         if s.sem_type == E:
             entities.append(s)
-        elif s.sem_type.is_function and len(spaces) == len(signature) + 1:
-            slot = application_slot(s.sem_type)
-            if Signature(spaces[:slot] + spaces[slot + 1:]) == signature:
-                functions.append((s, slot))
-        if spaces == signature.spaces:
+        elif s.sem_type.is_function and signature_of(s.sem_type.res, smap) == signature:
+            functions.append(s)
+        if s.tensor.signature == signature:
             direct.append((s.sense_id, s.tensor))
     return Inventory(tuple(direct), tuple(functions), tuple(entities))
 
@@ -115,43 +111,45 @@ class Inventory(_Lazy):
     """The labelled tensors of one signature, as known_inhabitants lists them.
 
     direct holds (sense id, tensor) for the lexicon formulae of the
-    signature, functions holds (sense, application slot) for the function
-    senses whose result lands in it, entities the entity senses.  Items
-    are direct first, then one saturation per (function, entity) pair,
-    function-major; a saturation is contracted each time it is read.
+    signature, functions the function senses whose result lands in it,
+    entities the entity senses.  Only one type of the family denotes a
+    given signature, so every function here has the same type and binds
+    its argument at the same application slot.  Items are direct first,
+    then one saturation per (function, entity) pair, function-major; a
+    saturation is contracted each time it is read.
     """
 
-    __slots__ = ("_direct", "_functions", "_entities")
+    __slots__ = ("_direct", "_functions", "_entities", "_slot")
 
     def __init__(self, direct, functions, entities):
-        def item(i):  # holds the three tuples, not self: no reference cycle
+        slot = application_slot(functions[0].sem_type) if functions else None
+
+        def item(i):  # holds the tuples, not self: no reference cycle
             if i < len(direct):
                 return direct[i]
             k, j = divmod(i - len(direct), len(entities))
-            (f, slot), a = functions[k], entities[j]
+            f, a = functions[k], entities[j]
             return f"{f.sense_id}+{a.sense_id}", contract(f.tensor, a.tensor, [(slot, 0)])
 
         super().__init__(len(direct) + len(functions) * len(entities), item)
         self._direct, self._functions, self._entities = direct, functions, entities
+        self._slot = slot
 
     def total(self) -> Tensor:
         """Entrywise sum of every item (there must be one), in closed form.
 
-        Contraction is bilinear, so the saturations of a group of
-        functions sharing an application slot sum to one contraction:
-        contract(sum of the group, sum of the entities).  Every function
-        here lands in one signature with the entity space at its slot, so
-        sharing a slot means sharing a signature.  The total is the direct
-        tensors plus one such term per group, in order of first appearance.
+        Contraction is bilinear, so the saturations sum to one contraction:
+        contract(sum of the functions, sum of the entities) at their shared
+        slot.  The total is the direct tensors plus that term, if there is
+        a function and an entity.
         """
         parts = [t for _, t in self._direct]
-        groups: dict[int, list[Tensor]] = {}
-        for f, slot in self._functions:
-            groups.setdefault(slot, []).append(f.tensor)
-        if groups and self._entities:
-            argument = sum_tensors([a.tensor for a in self._entities])
-            for slot, group in groups.items():
-                parts.append(contract(sum_tensors(group), argument, [(slot, 0)]))
+        if self._functions and self._entities:
+            parts.append(contract(
+                sum_tensors([f.tensor for f in self._functions]),
+                sum_tensors([a.tensor for a in self._entities]),
+                [(self._slot, 0)],
+            ))
         return sum_tensors(parts)
 
 

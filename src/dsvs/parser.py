@@ -5,7 +5,9 @@ are consumed.  Nodes carry a semantic type, possibly a formula (a tensor),
 and up to three outgoing edges: an argument daughter, a functor daughter,
 and an adjunct (link) tree hanging off the node sideways.  A node without
 a formula is a requirement: it still awaits content.  Every growth gives
-a leaf an argument daughter, which takes the pointer, and a functor one.
+a leaf an entity argument leaf, which takes the pointer, and a functor
+daughter, and only entities take adjuncts: a clause is a functor spine
+with entity leaves, each of which may carry an adjunct, hanging off it.
 
 After each word the tree saturates: a pointed bare proposition
 requirement grows (prediction), and any node whose daughters both carry
@@ -150,7 +152,7 @@ def _value(tree: Tree, i: int, fill):
         return fill(n)
     a = _value(tree, n.argument, fill)  # first, so stand-ins keep their order
     f = _value(tree, n.functor, fill)
-    return _fold(tree.nodes, tree, n, _product(tree.nodes, n, f, a))
+    return _fold(tree.nodes, tree.open, n, _product(tree.nodes, n, f, a))
 
 
 def _product(nodes, n: Node, f, a):
@@ -162,36 +164,34 @@ def _product(nodes, n: Node, f, a):
     return contract(f, a, [(application_slot(nodes[n.functor].sem_type), 0)])
 
 
-def _fold(nodes, flagged: Tree, n: Node, v):
+def _fold(nodes, flags, n: Node, v):
     """Internal node n's value from its product v.
 
     v itself, None included, except at a proposition node, where v is
     multiplied entrywise with the root formula of every finished adjunct
-    in n's clause, in pre-order: n's own, those under its argument, then
-    those under its functor.  An adjunct root without a formula is
-    unfinished; whether one with a formula was reopened below, the
-    Tree.open flags of flagged, a tree with the leaves of nodes, tell.
+    in n's clause, walking down its functor spine to the functor leaf:
+    the subject's adjunct, then the object's, and so on.  An adjunct root
+    without a formula is unfinished; whether one with a formula was
+    reopened below, flags, the Tree.open flags of nodes' leaves, tell.
     """
     if v is None or n.sem_type != T:
         return v
-    stack = [n.node_id]
-    while stack:
-        m = nodes[stack.pop()]
-        j = m.link
-        if j is not None and nodes[j].complete and not flagged.open[j]:
+    while not n.is_leaf:
+        j = nodes[n.argument].link
+        if j is not None and nodes[j].complete and not flags[j]:
             v = mu(v, nodes[j].formula)
-        stack.extend(c for c in (m.functor, m.argument) if c is not None)
+        n = nodes[n.functor]
     return v
 
 
 def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
-    """Grow the leaf with id at into an argument and a functor daughter,
-    each a (type, formula) pair; the argument takes the pointer."""
+    """Grow the leaf with id at into an entity daughter with formula
+    argument, which takes the pointer, and a (type, formula) functor."""
     base = len(tree.nodes)
     nodes = list(tree.nodes)
     m = nodes[at]
     nodes[at] = Node(at, m.sem_type, m.formula, base, base + 1, m.link, m.parent)
-    nodes.append(Node(base, *argument, parent=at))
+    nodes.append(Node(base, E, argument, parent=at))
     nodes.append(Node(base + 1, *functor, parent=at))
     return Tree(tuple(nodes), pointer=base)
 
@@ -204,7 +204,7 @@ def _predict(tree: Tree) -> Tree:
     the axiom only."""
     p = tree.pointed
     if p.requirement and p.sem_type == T and p.is_leaf:
-        return _sprout(tree, p.node_id, (E, None), (ET, None))
+        return _sprout(tree, p.node_id, None, (ET, None))
     return tree
 
 
@@ -224,7 +224,7 @@ def saturate(tree: Tree) -> Tree:
     saturated tree takes the same flags over.
     """
     tree = _predict(tree)
-    nodes = list(tree.nodes)
+    nodes, flags = list(tree.nodes), tree.open
     i, changed = tree.pointer, True
     while True:
         n = nodes[i]
@@ -234,11 +234,11 @@ def saturate(tree: Tree) -> Tree:
                 p = _product(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
             changed = p is not None
             if changed:
-                nodes[i] = Node(i, n.sem_type, _fold(nodes, tree, n, p), n.argument, n.functor,
+                nodes[i] = Node(i, n.sem_type, _fold(nodes, flags, n, p), n.argument, n.functor,
                                 n.link, n.parent, p if n.sem_type == T else None)
         if n.parent is None:
             saturated = Tree(tuple(nodes), tree.pointer)
-            saturated.__dict__["open"] = tree.open
+            saturated.__dict__["open"] = flags
             return saturated
         changed = changed and nodes[n.parent].link != i
         i = n.parent
@@ -309,7 +309,7 @@ def apply_link(tree: Tree) -> Tree | None:
     hung = tree.with_node(
         Node(p.node_id, p.sem_type, p.formula, p.argument, p.functor, base, p.parent))
     linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base)
-    return _sprout(linked, base, (E, p.formula), (ET, None))
+    return _sprout(linked, base, p.formula, (ET, None))
 
 
 def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
@@ -335,7 +335,7 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
             Node(p.node_id, p.sem_type, sense.tensor, p.argument, p.functor, p.link, p.parent))
 
     if ty.is_function and ty.res == p.sem_type and p.sem_type.is_function:
-        return _sprout(tree, p.node_id, (ty.arg, None), (ty, sense.tensor))
+        return _sprout(tree, p.node_id, None, (ty, sense.tensor))
 
     return None
 

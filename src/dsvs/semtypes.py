@@ -128,16 +128,10 @@ def application_slot(ty: SemType) -> int:
     A one-step-from-t function (res == t) consumes its argument at slot 0;
     higher-arity functions consume at their last slot, working inward so the
     final application lands on slot 0.  The signature of <e,...,t> with n
-    arguments has n+1 slots: slot 0 for the innermost argument, the sentence
-    slot next, then one slot per remaining argument outward.
+    arguments has n+1 slots, one per letter of its flat spelling: slot 0
+    for the innermost argument, the sentence slot next, then one slot per
+    remaining argument outward.
     """
     if not ty.is_function:
         raise ValueError(f"type {ty} is not a function type")
-    if ty.res == T:
-        return 0
-    arity = 0
-    cur = ty
-    while cur.is_function:
-        arity += 1
-        cur = cur.res
-    return arity
+    return 0 if ty.res == T else len(ty.compact()) - 1

@@ -153,6 +153,16 @@ def test_expect_reports_dead_candidates(capsys):
     assert out.splitlines()[0] == "-. milk (milk#n)  no parse"
 
 
+def test_expect_tokenizes_candidates_like_sentences(capsys):
+    code, out, _ = run(capsys, "expect", "--lexicon", BASE,
+                       "--after", "Babies", "--candidates", "Vomit,score.")
+    assert code == 0
+    assert out.splitlines() == [
+        "1. vomit (vomit#v)  ratio = 0.8144",
+        "2. score (score#v)  ratio = 0.0966",
+    ]
+
+
 def test_lexicon_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("DSVS_LEXICON", BASE)
     code, out, _ = run(capsys, "parse", "babies vomit")

@@ -1,6 +1,8 @@
 import gc
+from dataclasses import replace
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 import oracles
@@ -8,8 +10,10 @@ from dsvs import parser as parser_module
 from dsvs import (
     DeadEnd,
     E,
+    Lexicon,
     LexiconMiss,
     T,
+    Tensor,
     Tree,
     apply_computational,
     apply_lexical,
@@ -19,6 +23,7 @@ from dsvs import (
     compile_root,
     fn,
     initial_state,
+    mu,
     parse_sequence,
     parse_word,
     render,
@@ -163,6 +168,27 @@ def test_host_root_folds_an_adjunct_only_while_it_is_finished(traces_lex):
         formula = first_tree(state).nodes[0].formula
         roots.append(None if formula is None else formula.tolist())
     assert roots == [None, None, [40, 32], [40, 32], [40, 32], [1600, 1024], [40, 32]]
+
+
+def test_a_clause_folds_its_adjuncts_subject_first_on_floats(traces_lex):
+    # float products depend on their order: the root is its product folded
+    # with the subject's adjunct, then the object's, and the other order
+    # gives other bits on this data, so a swapped fold cannot pass
+    lex = Lexicon(traces_lex.spaces, traces_lex.space_map, tuple(
+        s if s.tensor is None
+        else replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
+        for s in traces_lex.senses
+    ))
+    state = after("john who sleeps likes mary who snores", lex)
+    assert len(state.candidates) == 1
+    t = first_tree(state)
+    root = t.nodes[t.root]
+    subject = t.nodes[root.argument]
+    obj = t.nodes[t.nodes[root.functor].argument]
+    first, second = t.nodes[subject.link].formula, t.nodes[obj.link].formula
+    assert root.formula.array.dtype == np.float64
+    assert root.formula.array.tobytes() == mu(mu(root.product, first), second).array.tobytes()
+    assert root.formula.array.tobytes() != mu(mu(root.product, second), first).array.tobytes()
 
 
 def test_open_flags_are_computed_at_most_twice_per_candidate_and_sense(

@@ -18,6 +18,12 @@ every stored product must equal the contraction of the daughters'
 formulae, and every internal formula the value recomputed from the leaf
 formulae alone.
 
+Saturation folds a clause's adjuncts by walking its functor spine, which
+is sound only on the shape the growth rules build: every argument daughter
+is an entity leaf, every functor daughter has a function type, and only
+entity nodes carry an adjunct.  Every tree grown on the fixtures' live
+prefixes and on the random walks is checked for that shape.
+
 A direct_sum root builds its components only when they are read.  The
 reference for them is the eager product, restated with lists: every pair
 of daughter components, functor outermost, then every finished adjunct of
@@ -50,6 +56,7 @@ from dsvs import (
     CorpusExcerpt,
     DeadEnd,
     DuplicateSlot,
+    E,
     EmptyCorpus,
     Lexicon,
     NonFiniteEntry,
@@ -64,6 +71,7 @@ from dsvs import (
     TensorTuple,
     application_slot,
     apply_computational,
+    apply_lexical,
     axiom,
     build_cooccurrence,
     build_verb_matrix,
@@ -382,6 +390,65 @@ def test_stored_products_are_never_stale(drawn):
                 assert n.product == contract(
                     f.formula, a.formula, [(application_slot(f.sem_type), 0)]
                 )
+
+
+def _check_spine(tree):
+    """Every clause is a functor spine with entity leaves hanging off it,
+    and only entity nodes carry an adjunct."""
+    for n in tree.nodes:
+        assert (n.argument is None) == (n.functor is None)
+        if not n.is_leaf:
+            a, f = tree.nodes[n.argument], tree.nodes[n.functor]
+            assert a.sem_type == E and a.is_leaf
+            assert f.sem_type.is_function
+        if n.link is not None:
+            assert n.sem_type == E
+
+
+def _check_grown_spines(state, lex):
+    """The shape of every candidate tree of a state, and of every tree one
+    more sense grows from it at any reachable position."""
+    for cand in state.candidates:
+        _check_spine(cand.tree)
+        for variant in apply_computational(cand.tree):
+            for sense in lex.senses:
+                grown = apply_lexical(variant, sense)
+                if grown is not None:
+                    _check_spine(grown)
+                    _check_spine(saturate(grown))
+
+
+@pytest.mark.parametrize("name", ["traces", "paper_s4", "split_senses"])
+def test_every_grown_tree_is_a_functor_spine_with_entity_leaves(name):
+    lex = load_lexicon(fixture_path(name))
+    vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
+    states = [initial_state()]
+    for _ in range(4):  # every live prefix of up to four words
+        nxt = []
+        for state in states:
+            _check_grown_spines(state, lex)
+            for word in vocabulary:
+                try:
+                    nxt.append(parse_word(state, word, lex))
+                except DeadEnd:
+                    continue
+        states = nxt
+    for state in states:
+        _check_grown_spines(state, lex)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(random_lexicons(), relative_clause_walks()))
+def test_every_grown_tree_is_a_functor_spine_on_random_lexicons(drawn):
+    lex, words = drawn
+    state = initial_state()
+    _check_grown_spines(state, lex)
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        _check_grown_spines(state, lex)
 
 
 @settings(max_examples=80, deadline=None, database=None)
