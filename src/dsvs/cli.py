@@ -231,15 +231,23 @@ def _read_word_lines(path):
 
 def _cmd_lexicon_build(args) -> int:
     excerpts = read_corpus(args.corpus)
-    contexts = []
+    first_line = {}  # context word -> the line that listed it
     for lineno, fields in _read_word_lines(args.contexts):
         if len(fields) != 1:
             raise ParseError(
                 f"{args.contexts}:{lineno}: expected one word per line"
             )
-        contexts.append(fields[0].lower())
+        word = fields[0].lower()
+        if word in first_line:
+            raise ParseError(
+                f"{args.contexts}:{lineno}: {word!r} repeats line {first_line[word]}"
+            )
+        first_line[word] = lineno
+    if not first_line:
+        raise ParseError(f"{args.contexts}: lists no context word")
+    contexts = list(first_line)
 
-    targets = []
+    targets = {}  # (word, kind) -> the line that listed it
     for lineno, fields in _read_word_lines(args.targets):
         if len(fields) != 2:
             raise ParseError(
@@ -252,7 +260,11 @@ def _cmd_lexicon_build(args) -> int:
                 + (": two-place tensors cannot be counted from a plain corpus"
                    if kind == "eet" else "")
             )
-        targets.append((word, kind))
+        if (word, kind) in targets:
+            raise ParseError(
+                f"{args.targets}:{lineno}: '{word} {kind}' repeats line {targets[word, kind]}"
+            )
+        targets[word, kind] = lineno
 
     w_space = Space("W", tuple(contexts))
     s_space = Space("S", (TOP, BOTTOM))

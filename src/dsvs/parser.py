@@ -23,13 +23,14 @@ reopened.  evaluate, which interpret runs with stand-ins at unmet
 requirements, computes only the nodes that store no formula.  A tree is
 valued once per word: pointer travel only predicts.
 
-The pointer marks where the next word may act.  It can travel up from a
-finished node to its mother (also crossing from a finished adjunct root
-back to its host) and down into any daughter or adjunct whose subtree
-still has unmet requirements, as flagged by Tree.open, one pass per tree.
-A word sense applies at the first reachable position that accepts it;
-each live candidate therefore forks into at most one successor per sense,
-and parsing a locally ambiguous word multiplies the candidate set.
+The pointer marks where the next word may act.  Pointer travel
+(apply_computational) lists every position it can reach: up from a
+finished node to its mother (or an adjunct root to its host), down into
+any daughter or adjunct still open, as Tree.open flags, one pass per tree.
+A parse never walks that list.  Travel up meets propositions, functors and
+hosts, and travel down enters open subtrees only, so a link sense can act
+only on the entity the pointer rests on, and any other sense only at
+canonical_view's open slot: each candidate forks at most once per sense.
 """
 
 from __future__ import annotations
@@ -245,17 +246,21 @@ def saturate(tree: Tree) -> Tree:
 
 
 def canonical_view(tree: Tree) -> Tree:
-    """Predicted tree with the pointer advanced to the next open slot.
+    """Predicted tree with the pointer on its one open slot, valuing nothing.
 
-    Like apply_computational it values nothing, so it takes a tree as
-    parse_word leaves it, or the axiom.  The pointer lands on the first
-    requirement leaf in depth-first order (argument before functor,
-    adjuncts after the node they hang from), or on the root when nothing
-    is left to fill.  This is the form traces display.
+    The pointer climbs while its node is complete (from an adjunct root to
+    its host too), then follows open daughters (argument, functor, adjunct)
+    down to a requirement leaf, or rests on the root when nothing is open;
+    on a requirement leaf it stays and reads no flags.  Travel never climbs
+    past an incomplete node and words fill a clause's slots in order, so
+    this is the only leaf travel can reach, the first in depth-first order.
+    Traces display this form.
     """
     t = _predict(tree)
-    n = t.nodes[t.root]
-    while t.open[n.node_id] and not (n.requirement and n.is_leaf):
+    n = t.pointed
+    while n.complete and n.parent is not None:
+        n = t.nodes[n.parent]
+    while not (n.requirement and n.is_leaf) and t.open[n.node_id]:
         n = t.nodes[next(c for c in (n.argument, n.functor, n.link)
                          if c is not None and t.open[c])]
     return t.with_pointer(n.node_id)
@@ -363,20 +368,14 @@ def initial_state() -> ParseState:
 
 
 def advance_with_sense(state: ParseState, sense: Sense) -> list[Candidate]:
-    """Successors of every candidate under one fixed sense.
-
-    Each candidate contributes at most one successor: the sense acts at the
-    first reachable pointer position that accepts it.
-    """
+    """Successors of every candidate under one sense, tried at one site: a
+    link sense where the pointer rests, any other at canonical_view's."""
     out = []
     for cand in state.candidates:
-        for variant in apply_computational(cand.tree):
-            grown = apply_lexical(variant, sense)
-            if grown is not None:
-                out.append(
-                    Candidate(saturate(grown), cand.senses + (sense.sense_id,))
-                )
-                break
+        site = cand.tree if sense.is_link else canonical_view(cand.tree)
+        grown = apply_lexical(site, sense)
+        if grown is not None:
+            out.append(Candidate(saturate(grown), cand.senses + (sense.sense_id,)))
     return out
 
 

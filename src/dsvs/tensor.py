@@ -23,6 +23,11 @@ and reshapes that lower the contraction to one np.dot, exactly as numpy's
 tensordot lowers it, so results are bit for bit those of tensordot.  Pairs
 are checked when a plan is made; an invalid pair list is never stored.
 
+direct_sum, and a TensorTuple built without its collapsed sum, have no
+caller inside the package: interpret knows each sum before it builds a
+tuple.  Both stay as public API, the way to keep alternatives apart from
+outside, and bench/spans.py wraps tensor.direct_sum by name.
+
 All operations here are dense.  Contraction of tensors with n and m slots,
 k of them paired, costs on the order of the product of all involved
 dimensions; fine for the small spaces this package works with, ruinous for

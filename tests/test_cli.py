@@ -339,3 +339,51 @@ def test_lexicon_build_rejects_two_place_targets(capsys, tmp_path):
                        "--contexts", str(tmp_path / "contexts.txt"),
                        "--out", str(tmp_path / "x.lexicon"))
     assert code == 2 and "eet" in err
+
+
+def build_from(capsys, tmp_path, targets, contexts):
+    """Run lexicon build over a two-line corpus with the given targets and
+    contexts file contents."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "text.txt").write_text("baby milk\nbaby cry\n", encoding="utf-8")
+    (tmp_path / "targets.txt").write_text(targets, encoding="utf-8")
+    (tmp_path / "contexts.txt").write_text(contexts, encoding="utf-8")
+    out = tmp_path / "x.lexicon"
+    result = run(capsys, "lexicon", "build",
+                 "--corpus", str(corpus),
+                 "--targets", str(tmp_path / "targets.txt"),
+                 "--contexts", str(tmp_path / "contexts.txt"),
+                 "--out", str(out))
+    return (*result, out)
+
+
+@pytest.mark.parametrize("contexts, line, word, first", [
+    ("milk\nbaby\nbaby\n", 3, "baby", 2),
+    ("# props\nBaby\nmilk\n\nbaby\n", 5, "baby", 2),  # words are lower-cased
+])
+def test_lexicon_build_names_a_repeated_context_word(
+    capsys, tmp_path, contexts, line, word, first
+):
+    code, out, err, built = build_from(capsys, tmp_path, "baby e\n", contexts)
+    path = tmp_path / "contexts.txt"
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {path}:{line}: {word!r} repeats line {first}\n"
+    assert not built.exists()
+
+
+@pytest.mark.parametrize("contexts", ["", "# none\n", "\n  \n"])
+def test_lexicon_build_refuses_a_contexts_file_without_words(capsys, tmp_path, contexts):
+    code, out, err, built = build_from(capsys, tmp_path, "baby e\n", contexts)
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {tmp_path / 'contexts.txt'}: lists no context word\n"
+    assert not built.exists()
+
+
+def test_lexicon_build_names_a_repeated_target_line(capsys, tmp_path):
+    # a word may be listed once per kind; the same kind twice is refused
+    code, out, err, built = build_from(
+        capsys, tmp_path, "baby e\ncry et\ncry e\nBaby e\n", "milk\ncry\n")
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {tmp_path / 'targets.txt'}:4: 'baby e' repeats line 1\n"
+    assert not built.exists()

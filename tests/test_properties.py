@@ -24,6 +24,12 @@ is an entity leaf, every functor daughter has a function type, and only
 entity nodes carry an adjunct.  Every tree grown on the fixtures' live
 prefixes and on the random walks is checked for that shape.
 
+A parse tries each sense at one site: a link sense where the pointer
+rests, any other at canonical_view's open slot.  On the same prefixes and
+walks, pointer travel reaches at most one requirement leaf, that slot, and
+the one try gives the successor that trying the sense at every reachable
+position in travel order, first hit taken, gives.
+
 A direct_sum root builds its components only when they are read.  The
 reference for them is the eager product, restated with lists: every pair
 of daughter components, functor outermost, then every finished adjunct of
@@ -53,6 +59,7 @@ from dsvs import (
     BOTTOM,
     STRATEGIES,
     TOP,
+    Candidate,
     CorpusExcerpt,
     DeadEnd,
     DuplicateSlot,
@@ -60,6 +67,7 @@ from dsvs import (
     EmptyCorpus,
     Lexicon,
     NonFiniteEntry,
+    ParseState,
     Sense,
     Signature,
     SlotOutOfRange,
@@ -298,12 +306,12 @@ def test_a_scored_lexicon_is_freed_without_the_cycle_collector():
 
 
 @st.composite
-def random_lexicons(draw):
+def random_lexicons(draw, high=5):
     """A small integer lexicon and a token list over its vocabulary.
 
-    Entity dim 2-3; one to three senses each of e, et and eet, whose
-    surface words come from a shared pool so that words can be ambiguous
-    across types; and who.
+    Entity dim 2-3; one to three senses each of e, et and eet, with entries
+    0 to high, whose surface words come from a shared pool so that words
+    can be ambiguous across types; and who.
     """
     w = Space("W", ("x", "y", "z")[: draw(st.integers(2, 3))])
     s = Space("S", (TOP, BOTTOM))
@@ -312,7 +320,7 @@ def random_lexicons(draw):
                       ("eet", Signature((w, s, w)))):
         size = int(np.prod(sig.dims))
         for k in range(draw(st.integers(1, 3))):
-            entries = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+            entries = draw(st.lists(st.integers(0, high), min_size=size, max_size=size))
             senses.append(Sense(
                 f"{kind}{k}", draw(st.sampled_from("pqrs")), parse_type(kind),
                 Tensor(sig, np.reshape(entries, sig.dims)),
@@ -323,11 +331,11 @@ def random_lexicons(draw):
 
 
 @st.composite
-def relative_clause_walks(draw):
-    """A random lexicon as random_lexicons draws it, and a prefix of a
-    sentence over it whose relative clauses nest: a who after a clause's
-    finished object opens a clause inside it, which reopens it."""
-    lex, _ = draw(random_lexicons())
+def relative_sentences(draw, high=5):
+    """A random lexicon as random_lexicons draws it, and a whole sentence
+    over it whose relative clauses nest: a who after a clause's finished
+    object opens a clause inside it, which reopens it."""
+    lex, _ = draw(random_lexicons(high))
     word = {
         kind: st.sampled_from(sorted({s.word for s in lex.senses
                                       if s.sem_type is not None
@@ -346,7 +354,14 @@ def relative_clause_walks(draw):
             return [draw(word["et"])]
         return [draw(word["eet"])] + noun_phrase(depth)
 
-    words = noun_phrase(1) + verb_phrase(4)
+    return lex, noun_phrase(1) + verb_phrase(4)
+
+
+@st.composite
+def relative_clause_walks(draw):
+    """A random lexicon and a prefix of a sentence over it, both as
+    relative_sentences draws them."""
+    lex, words = draw(relative_sentences())
     return lex, words[: draw(st.integers(1, len(words)))]
 
 
@@ -449,6 +464,61 @@ def test_every_grown_tree_is_a_functor_spine_on_random_lexicons(drawn):
         except DeadEnd:
             return
         _check_grown_spines(state, lex)
+
+
+def _check_one_site(state, lex):
+    """Pointer travel reaches at most one requirement leaf, canonical_view's
+    open slot, and the one try per sense that parse_word makes gives the
+    successor that trying the sense at every reachable position in travel
+    order, first hit taken, gives; a link sense hits only where the pointer
+    rests."""
+    for cand in state.candidates:
+        variants = apply_computational(cand.tree)
+        slots = [v for v in variants if v.pointed.requirement and v.pointed.is_leaf]
+        assert len(slots) <= 1, cand.senses
+        view = canonical_view(cand.tree)
+        assert view == (slots[0] if slots else variants[0].with_pointer(view.root))
+        for sense in lex.senses:
+            tries = [apply_lexical(v, sense) for v in variants]
+            k = next((k for k, grown in enumerate(tries) if grown is not None), None)
+            got = dsvs.parser.advance_with_sense(ParseState((cand,)), sense)
+            want = [] if k is None else [
+                Candidate(saturate(tries[k]), cand.senses + (sense.sense_id,))]
+            assert got == want, (cand.senses, sense.sense_id)
+            assert not sense.is_link or k in (None, 0), (cand.senses, k)
+
+
+@pytest.mark.parametrize("name", ["traces", "paper_s4", "split_senses"])
+def test_each_sense_has_one_site_on_the_fixtures(name):
+    lex = load_lexicon(fixture_path(name))
+    vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
+    states = [initial_state()]
+    for _ in range(4):  # every live prefix of up to four words
+        nxt = []
+        for state in states:
+            _check_one_site(state, lex)
+            for word in vocabulary:
+                try:
+                    nxt.append(parse_word(state, word, lex))
+                except DeadEnd:
+                    continue
+        states = nxt
+    for state in states:
+        _check_one_site(state, lex)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(random_lexicons(), relative_clause_walks()))
+def test_each_sense_has_one_site_on_random_lexicons(drawn):
+    lex, words = drawn
+    state = initial_state()
+    _check_one_site(state, lex)
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        _check_one_site(state, lex)
 
 
 @settings(max_examples=80, deadline=None, database=None)
