@@ -34,6 +34,7 @@ from .lexicon import (
     build_verb_matrix,
     load_lexicon,
     read_corpus,
+    read_text,
     save_lexicon,
     tokenize,
 )
@@ -218,13 +219,11 @@ def _cmd_expect(args) -> int:
     return 0
 
 
-def _read_word_lines(path):
+def _read_word_lines(path, what):
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, raw in enumerate(read_text(path, what).split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
             out.append((lineno, line.split()))
     return out
 
@@ -232,7 +231,7 @@ def _read_word_lines(path):
 def _cmd_lexicon_build(args) -> int:
     excerpts = read_corpus(args.corpus)
     first_line = {}  # context word -> the line that listed it
-    for lineno, fields in _read_word_lines(args.contexts):
+    for lineno, fields in _read_word_lines(args.contexts, "contexts file"):
         if len(fields) != 1:
             raise ParseError(
                 f"{args.contexts}:{lineno}: expected one word per line"
@@ -248,7 +247,7 @@ def _cmd_lexicon_build(args) -> int:
     contexts = list(first_line)
 
     targets = {}  # (word, kind) -> the line that listed it
-    for lineno, fields in _read_word_lines(args.targets):
+    for lineno, fields in _read_word_lines(args.targets, "targets file"):
         if len(fields) != 2:
             raise ParseError(
                 f"{args.targets}:{lineno}: expected 'word kind' per line"
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
     except (LexiconMiss, DeadEnd) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 1
-    except (DsvsError, FileNotFoundError) as e:
+    except (DsvsError, OSError) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 2
 

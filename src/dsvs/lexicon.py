@@ -80,8 +80,25 @@ def parse_excerpts(text: str, source: str = "<string>") -> list[CorpusExcerpt]:
             for k, toks in enumerate(t for t in tokenized if t)]
 
 
+def read_text(path, what: str) -> str:
+    """A file's text, decoded as UTF-8.
+
+    A file that cannot be read (missing, a directory, no permission) or
+    decoded raises ParseError naming what it is and its path.
+    """
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {what} {p}: {e}")
+
+
 def read_corpus(path) -> list[CorpusExcerpt]:
-    """Read every *.txt file under a directory (or one file) as excerpts."""
+    """Read every *.txt file under a directory (or one file) as excerpts.
+
+    A missing path raises FileNotFoundError; a file that cannot be read or
+    decoded, ParseError (see read_text).
+    """
     p = Path(path)
     if p.is_dir():
         files = sorted(p.glob("*.txt"))
@@ -91,7 +108,7 @@ def read_corpus(path) -> list[CorpusExcerpt]:
         raise FileNotFoundError(f"no corpus at {p}")
     excerpts = []
     for f in files:
-        excerpts.extend(parse_excerpts(f.read_text(encoding="utf-8"), source=f.name))
+        excerpts.extend(parse_excerpts(read_text(f, "corpus file"), source=f.name))
     return excerpts
 
 
@@ -302,10 +319,7 @@ def load_lexicon(path) -> Lexicon:
     of 2 labels) raise ValidationError naming the offending sense or space.
     """
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read lexicon {p}: {e}")
+    text = read_text(p, "lexicon")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

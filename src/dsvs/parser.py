@@ -16,12 +16,13 @@ proposition nodes that contraction, the node's product, is additionally
 multiplied entrywise with the root formula of every finished adjunct tree
 in the clause, and the node keeps its product beside the folded formula.
 A word changes values only on the mother chain of the node it touched, so
-saturation revisits that chain alone: it contracts a node again only when
-a daughter got a new value, and refolds every other proposition node on
-the chain from its stored product, whose adjuncts may have finished or
-reopened.  evaluate, which interpret runs with stand-ins at unmet
-requirements, computes only the nodes that store no formula.  A tree is
-valued once per word: pointer travel only predicts.
+saturation revisits that chain alone, and not even that when the pointer
+rests on a requirement, as after a grown slot: it contracts a node again
+only when a daughter got a new value, and refolds every other proposition
+node on the chain from its stored product, whose adjuncts may have
+finished or reopened.  evaluate, which interpret runs with stand-ins at
+unmet requirements, computes only the nodes that store no formula.  A
+tree is valued once per word: pointer travel only predicts.
 
 The pointer marks where the next word may act.  Pointer travel
 (apply_computational) lists every position it can reach: up from a
@@ -210,39 +211,37 @@ def _predict(tree: Tree) -> Tree:
 
 
 def saturate(tree: Tree) -> Tree:
-    """Predict at the pointed node, then revalue the pointer's mother chain.
+    """Predict at a pointed requirement, else revalue the nodes above the pointer.
 
-    Formulae and products off the chain are trusted, as apply_lexical
-    leaves a tree parse_word kept.  The walk goes up to the root, crossing
-    from an adjunct root to its host.  An internal node whose chain
-    daughter got a new value (a host does not depend on its adjunct) is
-    contracted again; every other proposition node on the chain, whose
-    adjuncts may have finished or reopened, is refolded from its stored
-    product with mu alone, and contracted only if it stores none.  Each
-    stores the folded value as formula, and a proposition node its product
-    too.  Which adjuncts are finished is read from the predicted tree's
-    flags: saturation changes internal formulae only, never leaves, so the
-    saturated tree takes the same flags over.
+    The pointed node's formula and everything off its mother chain are
+    trusted, as apply_lexical leaves a tree parse_word kept.  A pointed
+    requirement (the axiom, a slot pointer travel reached, or one a
+    function sense grew) means no node was valued and no requirement met,
+    so nothing above it changed.  Otherwise the walk climbs to the root,
+    from an adjunct root to its host too.  A mother whose daughter on the
+    chain got a new value (a host does not depend on its adjunct) is
+    contracted again; any other keeps its stored product, so only
+    proposition nodes are refolded, with mu alone, as their adjuncts may
+    have finished or reopened.  Each stores its folded value, a
+    proposition node its product too; the saturated tree shares the grown
+    tree's flags, as the climb changes no leaf.
     """
-    tree = _predict(tree)
+    if tree.pointed.requirement:
+        return _predict(tree)
     nodes, flags = list(tree.nodes), tree.open
     i, changed = tree.pointer, True
-    while True:
-        n = nodes[i]
-        if not n.is_leaf and (changed or n.sem_type == T):
-            p = n.product
-            if changed or p is None:
-                p = _product(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
-            changed = p is not None
-            if changed:
-                nodes[i] = Node(i, n.sem_type, _fold(nodes, flags, n, p), n.argument, n.functor,
-                                n.link, n.parent, p if n.sem_type == T else None)
-        if n.parent is None:
-            saturated = Tree(tuple(nodes), tree.pointer)
-            saturated.__dict__["open"] = flags
-            return saturated
-        changed = changed and nodes[n.parent].link != i
-        i = n.parent
+    while nodes[i].parent is not None:
+        n = nodes[nodes[i].parent]
+        p = (_product(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
+             if changed and n.link != i else n.product)
+        changed = p is not None
+        if changed:
+            nodes[n.node_id] = Node(n.node_id, n.sem_type, _fold(nodes, flags, n, p), n.argument,
+                                    n.functor, n.link, n.parent, p if n.sem_type == T else None)
+        i = n.node_id
+    saturated = Tree(tuple(nodes), tree.pointer)
+    saturated.__dict__["open"] = flags
+    return saturated
 
 
 def canonical_view(tree: Tree) -> Tree:

@@ -387,3 +387,61 @@ def test_lexicon_build_names_a_repeated_target_line(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == f"dsvs: {tmp_path / 'targets.txt'}:4: 'baby e' repeats line 1\n"
     assert not built.exists()
+
+
+NOT_UTF8 = b"\xff\xfe not text\n"
+
+
+def build_inputs(tmp_path):
+    """Valid lexicon build inputs, by option; --out is not yet written."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "text.txt").write_text("baby milk\n", encoding="utf-8")
+    files = {"--corpus": corpus, "--targets": tmp_path / "targets.txt",
+             "--contexts": tmp_path / "contexts.txt", "--out": tmp_path / "x.lexicon"}
+    files["--targets"].write_text("baby e\n", encoding="utf-8")
+    files["--contexts"].write_text("milk\n", encoding="utf-8")
+    return files
+
+
+def build_refused(capsys, files, named):
+    """lexicon build exits 2 with one dsvs: line naming the path named."""
+    argv = [str(x) for option, path in files.items() for x in (option, path)]
+    code, out, err = run(capsys, "lexicon", "build", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("dsvs: ") and err.count("\n") == 1 and str(named) in err
+
+
+def test_non_utf8_lexicon_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.lexicon"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies")
+    assert (code, out) == (2, "")
+    assert err.startswith("dsvs: ") and err.count("\n") == 1 and str(path) in err
+
+
+def test_lexicon_build_refuses_a_non_utf8_corpus_file(capsys, tmp_path):
+    files = build_inputs(tmp_path)
+    bad = files["--corpus"] / "text.txt"
+    bad.write_bytes(NOT_UTF8)
+    build_refused(capsys, files, bad)
+    assert not files["--out"].exists()
+
+
+@pytest.mark.parametrize("option", ["--contexts", "--targets"])
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_lexicon_build_refuses_an_unreadable_word_list(capsys, tmp_path, option, kind):
+    files = build_inputs(tmp_path)
+    if kind == "directory":
+        files[option] = tmp_path / "a_directory"
+        files[option].mkdir()
+    else:
+        files[option].write_bytes(NOT_UTF8)
+    build_refused(capsys, files, files[option])
+    assert not files["--out"].exists()
+
+
+def test_lexicon_build_refuses_a_directory_as_out(capsys, tmp_path):
+    files = build_inputs(tmp_path)
+    files["--out"].mkdir()
+    build_refused(capsys, files, files["--out"])

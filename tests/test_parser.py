@@ -274,6 +274,46 @@ def test_a_word_contracts_at_most_twice_at_any_depth(k, traces_lex, parser_contr
     assert max(per_word) <= 2
 
 
+@pytest.mark.parametrize("k", [9, 20])
+def test_a_word_that_only_adds_a_slot_refolds_nothing_at_any_depth(k, traces_lex, monkeypatch):
+    # likes grows its slot into an object requirement and a functor, which
+    # changes no formula and no open flag above it, so saturation stops
+    # there; any other word refolds each proposition on its chain at most
+    # once (_fold hands any other node's product back as it is)
+    folds, passes = [], []
+    real_fold, real_open = parser_module._fold, Tree.open.func
+
+    def counting_fold(nodes, flags, n, v):
+        folds.append(n.sem_type == T)
+        return real_fold(nodes, flags, n, v)
+
+    def counting_open(tree):
+        passes.append(len(tree.nodes))
+        return real_open(tree)
+
+    counted = cached_property(counting_open)
+    counted.__set_name__(Tree, "open")
+    monkeypatch.setattr(Tree, "open", counted)
+    monkeypatch.setattr(parser_module, "_fold", counting_fold)
+    words = ("john likes mary" + " who likes john" * k).split()
+    assert len(words) in (30, 63)
+    state = initial_state()
+    for word in words:
+        before = len(folds), len(passes)
+        state = parse_word(state, word, traces_lex)
+        made = len(folds) - before[0], len(passes) - before[1]
+        if word == "likes":
+            assert made == (0, 0)  # no _fold call at all, no Tree.open pass
+        else:
+            t = first_tree(state)
+            i, propositions = t.pointer, 0
+            while i is not None:
+                propositions += t.nodes[i].sem_type == T and not t.nodes[i].is_leaf
+                i = t.nodes[i].parent
+            assert sum(folds[before[0]:]) <= propositions
+    assert propositions >= k  # one clause per relative, all on the last chain
+
+
 @pytest.mark.parametrize("sentence,lexname", [
     ("mary who likes john snores", "traces"),
     ("john likes mary who likes john who", "traces"),
