@@ -188,7 +188,7 @@ def _cmd_parse(args) -> int:
             print()
 
     best, score = final_ranked[0]
-    if not args.trace:
+    if not trace:  # else the last trace block showed this tree
         print(render_tree(canonical_view(best.tree)))
     print(_root_line(score, lexicon))
     return 0
@@ -230,6 +230,8 @@ def _read_word_lines(path, what):
 
 def _cmd_lexicon_build(args) -> int:
     excerpts = read_corpus(args.corpus)
+    if not excerpts:
+        raise ParseError(f"{args.corpus}: holds no excerpt")
     first_line = {}  # context word -> the line that listed it
     for lineno, fields in _read_word_lines(args.contexts, "contexts file"):
         if len(fields) != 1:
@@ -264,6 +266,8 @@ def _cmd_lexicon_build(args) -> int:
                 f"{args.targets}:{lineno}: '{word} {kind}' repeats line {targets[word, kind]}"
             )
         targets[word, kind] = lineno
+    if not targets:
+        raise ParseError(f"{args.targets}: lists no target")
 
     w_space = Space("W", tuple(contexts))
     s_space = Space("S", (TOP, BOTTOM))

@@ -41,8 +41,8 @@ plausibility of the parse that would follow.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import inf, prod
+from typing import NamedTuple
 
 from .errors import NoInhabitants, NonFiniteEntry, SignatureMismatch
 from .lexicon import Lexicon
@@ -229,8 +229,7 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
 # scoring
 
 
-@dataclass(frozen=True)
-class PlausibilityScore:
+class PlausibilityScore(NamedTuple):
     """Evidence for and against a sentence, with their normalised ratio."""
 
     top: float
@@ -278,8 +277,7 @@ def disambiguate(state: ParseState, lexicon: Lexicon, strategy: str = "sum"):
     return scored
 
 
-@dataclass(frozen=True)
-class ExpectEntry:
+class ExpectEntry(NamedTuple):
     """One candidate continuation: a word, the sense tried, its score.
 
     score is None when no live parse accepts the word under that sense;

@@ -8,6 +8,8 @@ a formula is a requirement: it still awaits content.  Every growth gives
 a leaf an entity argument leaf, which takes the pointer, and a functor
 daughter, and only entities take adjuncts: a clause is a functor spine
 with entity leaves, each of which may carry an adjunct, hanging off it.
+Nodes, candidates and parse states are named tuples; a Tree is a frozen
+dataclass, as it caches its open flags.
 
 After each word the tree saturates: a pointed bare proposition
 requirement grows (prediction), and any node whose daughters both carry
@@ -36,8 +38,9 @@ canonical_view's open slot: each candidate forks at most once per sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DeadEnd, LexiconMiss
 from .lexicon import Lexicon, Sense
@@ -47,15 +50,14 @@ from .tensor import Tensor, contract, mu
 ET = fn(E, T)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One tree node.  Its formula is its state: a node without one is a
     requirement, a node with one is complete.
 
     An internal proposition node with a formula also keeps its product,
     its functor's formula contracted against its argument's, which the
     formula is folded from (see saturate).  The product follows from the
-    daughters' formulae, so nodes compare and print without it.
+    daughters' formulae, so comparing it changes no comparison of trees.
     """
 
     node_id: int
@@ -65,7 +67,7 @@ class Node:
     functor: int | None = None
     link: int | None = None
     parent: int | None = None
-    product: Tensor | None = field(default=None, compare=False, repr=False)
+    product: Tensor | None = None
 
     @property
     def requirement(self) -> bool:
@@ -348,16 +350,14 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
 # candidate sets
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One live parse: a tree plus the sense chosen for each word so far."""
 
     tree: Tree
     senses: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParseState:
+class ParseState(NamedTuple):
     candidates: tuple[Candidate, ...]
     consumed: tuple[str, ...] = ()
 

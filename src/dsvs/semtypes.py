@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tensor import Signature, Space, Tensor
 
@@ -92,8 +93,7 @@ def parse_type(text: str) -> SemType:
     return ty
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(NamedTuple):
     """Assignment of vector spaces to the two atomic types."""
 
     entity: Space

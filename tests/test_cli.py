@@ -72,6 +72,13 @@ def test_parse_ranks_once_unless_tracing(capsys, monkeypatch):
         assert ranked == [0]
 
 
+@pytest.mark.parametrize("lexicon", [BASE, TRACES], ids=["paper_s4", "traces"])
+def test_parse_trace_of_an_empty_sentence_prints_the_tree_once(capsys, lexicon):
+    plain = run(capsys, "parse", "--lexicon", lexicon, "")
+    assert plain[0] == 0 and plain[1].count("◊") == 1
+    assert run(capsys, "parse", "--lexicon", lexicon, "--trace", "") == plain
+
+
 @pytest.mark.parametrize("show", [canonical_view, render, _tree_json])
 def test_tree_output_leaves_no_reference_cycles(show):
     # a cycle would keep the tree alive until the collector runs
@@ -378,6 +385,24 @@ def test_lexicon_build_refuses_a_contexts_file_without_words(capsys, tmp_path, c
     assert (code, out) == (2, "")
     assert err == f"dsvs: {tmp_path / 'contexts.txt'}: lists no context word\n"
     assert not built.exists()
+
+
+@pytest.mark.parametrize("targets", ["", "# none\n", "\n  \n"])
+def test_lexicon_build_refuses_a_targets_file_without_targets(capsys, tmp_path, targets):
+    code, out, err, built = build_from(capsys, tmp_path, targets, "milk\n")
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {tmp_path / 'targets.txt'}: lists no target\n"
+    assert not built.exists()
+
+
+@pytest.mark.parametrize("corpus_text", [None, "", "\n\n"])
+def test_lexicon_build_refuses_a_corpus_without_excerpts(capsys, tmp_path, corpus_text):
+    files = build_inputs(tmp_path)
+    (files["--corpus"] / "text.txt").unlink()
+    if corpus_text is not None:
+        (files["--corpus"] / "empty.txt").write_text(corpus_text, encoding="utf-8")
+    build_refused(capsys, files, files["--corpus"])
+    assert not files["--out"].exists()
 
 
 def test_lexicon_build_names_a_repeated_target_line(capsys, tmp_path):
