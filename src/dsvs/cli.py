@@ -19,6 +19,7 @@ word, no surviving parse), 2 for bad usage or malformed files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,7 +47,12 @@ from .tensor import Signature, Space, Tensor
 ENV_LEXICON = "DSVS_LEXICON"
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    parse_args keeps nothing between calls, so one parser serves every
+    main call; nothing may change it after it is built."""
     top = argparse.ArgumentParser(
         prog="dsvs",
         description="incremental semantic parsing with tensor plausibility",

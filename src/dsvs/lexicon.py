@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyCorpus, ParseError, ValidationError
-from .semtypes import SemType, SpaceMap, check_formula, parse_type, signature_of
+from .semtypes import SemType, SpaceMap, parse_type, signature_of
 from .tensor import Signature, Space, Tensor
 
 TOP = "⊤"
@@ -235,20 +235,24 @@ class Lexicon:
                 f"labels (evidence for, against), got {sentence.dim}"
             )
         seen = set()
+        signatures = {}  # each distinct type's signature, resolved once
         for s in self.senses:
             if s.sense_id in seen:
                 raise ValidationError(f"duplicate sense id {s.sense_id!r}")
             seen.add(s.sense_id)
-            if s.tensor is not None and not check_formula(
-                s.sem_type, s.tensor, self.space_map
-            ):
+            if s.tensor is None:
+                continue
+            sig = signatures.get(s.sem_type)
+            if sig is None:
+                sig = signatures[s.sem_type] = signature_of(s.sem_type, self.space_map)
+            if not (isinstance(s.tensor, Tensor) and s.tensor.signature == sig):
                 got = (f"tensor signature {s.tensor.signature!r}" if isinstance(s.tensor, Tensor)
                        else f"a {type(s.tensor).__name__} formula")
                 raise ValidationError(
                     f"sense {s.sense_id!r}: {got} does not fit type {s.sem_type} "
-                    f"(expected {signature_of(s.sem_type, self.space_map)!r})"
+                    f"(expected {sig!r})"
                 )
-            if s.tensor is not None and (s.tensor.array < 0).any():
+            if (s.tensor.array < 0).any():
                 raise ValidationError(f"sense {s.sense_id!r}: negative tensor "
                                       f"entry {s.tensor.array.min().item()}")
         index: dict[str, list[Sense]] = {}
@@ -272,7 +276,9 @@ class Lexicon:
 # file format
 
 
-def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
+def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
+    """One entry of 'senses'; resolved maps each type spelling already
+    met in this file to its SemType and signature, and gains this one's."""
     if not isinstance(obj, dict):
         raise ParseError(f"senses[{pos}]: expected an object")
     try:
@@ -295,13 +301,15 @@ def _parse_sense(obj, pos: int, smap: SpaceMap) -> Sense:
             raise ParseError(f"senses[{pos}] ({sid}): link senses carry no tensor")
         return Sense(sid, word, None, None, gloss=gloss, forms=tuple(forms))
 
-    try:
-        ty = parse_type(tyname)
-    except ValueError:
-        raise ParseError(f"senses[{pos}] ({sid}): unrecognised type {tyname!r}")
+    if tyname not in resolved:
+        try:
+            ty = parse_type(tyname)
+        except ValueError:
+            raise ParseError(f"senses[{pos}] ({sid}): unrecognised type {tyname!r}")
+        resolved[tyname] = ty, signature_of(ty, smap)
+    ty, sig = resolved[tyname]
     if "tensor" not in obj:
         raise ParseError(f"senses[{pos}] ({sid}): missing required field 'tensor'")
-    sig = signature_of(ty, smap)
     try:
         tensor = Tensor(sig, obj["tensor"])
     except (TypeError, ValueError) as e:
@@ -352,11 +360,15 @@ def load_lexicon(path) -> Lexicon:
     except KeyError as e:
         raise ParseError(f"{p}: 'map' must name declared spaces for 'entity' and "
                          f"'sentence' (missing {e.args[0]!r})")
+    except TypeError:  # a name that cannot be a key, such as a list
+        raise ParseError(f"{p}: 'map' must name each space by a string, "
+                         f"got {map_obj!r}")
 
     senses_obj = doc.get("senses")
     if not isinstance(senses_obj, list):
         raise ParseError(f"{p}: 'senses' must be an array")
-    senses = [_parse_sense(o, i, smap) for i, o in enumerate(senses_obj)]
+    resolved: dict = {}
+    senses = [_parse_sense(o, i, smap, resolved) for i, o in enumerate(senses_obj)]
     return Lexicon(tuple(spaces), smap, tuple(senses))
 
 

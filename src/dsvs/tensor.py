@@ -10,6 +10,14 @@ data stays exact; everything else is carried as float64; booleans,
 non-finite floats and integers outside int64 are refused.  Arrays are
 copied on construction and marked read-only, so tensors behave as values.
 
+Entries given as nested lists or tuples, as a lexicon file gives them, are
+checked before numpy sees them, in one flat pass rather than a walk per
+entry: the nesting is unpacked a level at a time with
+itertools.chain.from_iterable, the leaf types are screened as one set, and
+plain ints are range-checked by their min and max.  Only where a boolean
+or an int outside int64 may be among them are the leaves walked in
+row-major order, so the first offending entry is the one named.
+
 The results of contract, mu and sum_tensors are built by one trusted path
 instead: their arrays are fresh int64 or float64 arrays of the right shape
 by construction, so they are only marked read-only, and a float result is
@@ -38,6 +46,7 @@ overhead, which the plans keep small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -137,13 +146,39 @@ def _check_entries(values) -> None:
     """Refuse what numpy would make another number without complaint when
     it builds an array from nested lists: a boolean beside numbers (counted
     as 1) and an integer outside int64 (made a float, or past 2**64 an
-    object array)."""
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            _check_entries(v)
-        elif isinstance(v, (bool, np.bool_)):
+    object array), naming the first such entry in row-major order.
+
+    Each level's lists and tuples are unpacked where they stand, so ragged
+    nesting keeps row-major order too.  A list that holds itself has no
+    last level: once more levels are unpacked than there are distinct
+    lists, it is refused with RecursionError, as a recursive walk was.
+    """
+    entries, depth, lists = values, 1, {id(values)}
+    while True:
+        types = set(map(type, entries))
+        nested = [t for t in types if issubclass(t, (list, tuple))]
+        if not nested:
+            break
+        ragged = len(nested) < len(types)
+        if ragged:
+            lists.update(id(v) for v in entries if isinstance(v, (list, tuple)))
+        else:
+            lists.update(map(id, entries))
+        depth += 1
+        if depth > len(lists):
+            raise RecursionError("tensor entries hold a list inside itself")
+        if ragged:  # unpack the lists and tuples where they stand
+            entries = [v if isinstance(v, (list, tuple)) else (v,) for v in entries]
+        entries = list(chain.from_iterable(entries))
+    if types == {int}:
+        if -2**63 <= min(entries) and max(entries) < 2**63:
+            return
+    elif not any(issubclass(t, (int, np.bool_)) for t in types):
+        return
+    for v in entries:
+        if isinstance(v, (bool, np.bool_)):
             raise TypeError(f"tensor entry {v} is a boolean, not a number")
-        elif isinstance(v, int) and not -2**63 <= v < 2**63:
+        if isinstance(v, int) and not -2**63 <= v < 2**63:
             raise ValueError(f"tensor entry {v} is outside the int64 range")
 
 
@@ -175,7 +210,9 @@ class Tensor:
     """An immutable dense tensor over a signature.
 
     The array shape must equal the signature's dims, slot by slot.  Equality
-    is value equality: same signature and entrywise identical entries.
+    is value equality: same signature and entrywise equal entries, so an
+    int tensor equals the float tensor of the same values, and equal
+    tensors hash equal.
     """
 
     signature: Signature
@@ -212,7 +249,9 @@ class Tensor:
         )
 
     def __hash__(self):
-        return hash((self.signature, self.array.tobytes()))
+        # __eq__ compares an int array with a float one as floats, and 0.0
+        # with -0.0 as equal, so hash the float64 values with -0.0 made 0.0
+        return hash((self.signature, (self.array + 0.0).tobytes()))
 
     def __repr__(self):
         return f"Tensor({self.signature!r}, {self.array.tolist()!r})"

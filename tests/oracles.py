@@ -1,11 +1,14 @@
 """Slow reference implementations used to cross-check the fast paths.
 
 Everything here works on plain nested Python lists with explicit loops; no
-numpy, no imports from the package under test.  Tests compare dsvs results
+numpy arithmetic (numpy is imported only to recognise its boolean scalar),
+no imports from the package under test.  Tests compare dsvs results
 against these.
 """
 
 import itertools
+
+import numpy as np
 
 
 def shape_of(nested):
@@ -135,3 +138,20 @@ def verb_matrix_lists(excerpts, verb, properties):
         for i, p in enumerate(properties):
             counts[i][0 if p in tokens else 1] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# tensor entries
+
+
+def check_entries_walk(values):
+    """The recursive walk over nested lists and tuples that tensor entries
+    were checked with: the first boolean (Python's or numpy's) or int
+    outside int64, depth first, raises TypeError or ValueError naming it."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            check_entries_walk(v)
+        elif isinstance(v, (bool, np.bool_)):
+            raise TypeError(f"tensor entry {v} is a boolean, not a number")
+        elif isinstance(v, int) and not -2**63 <= v < 2**63:
+            raise ValueError(f"tensor entry {v} is outside the int64 range")

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dsvs
+import dsvs.cli
 from dsvs import (
     canonical_view,
     disambiguate,
@@ -470,3 +472,62 @@ def test_lexicon_build_refuses_a_directory_as_out(capsys, tmp_path):
     files = build_inputs(tmp_path)
     files["--out"].mkdir()
     build_refused(capsys, files, files["--out"])
+
+
+@pytest.mark.parametrize("role, name", [("entity", ["W"]), ("sentence", {"S": 1})])
+def test_a_map_name_that_is_not_a_string_exits_two(capsys, tmp_path, role, name):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    doc["map"][role] = name
+    path = tmp_path / "map.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "Babies vomit.")
+    assert (code, out) == (2, "")
+    assert err.startswith("dsvs: ") and err.count("\n") == 1 and "'map'" in err
+
+
+ARGVS = [
+    ["parse", "--lexicon", BASE, "babies vomit"],
+    ["parse", "--lexicon", TRACES, "--trace", "--format", "json", "mary likes"],
+    ["disambiguate", "--lexicon", SPLIT, "--strategy", "unit", "footballers dribble"],
+    ["expect", "--lexicon", SPLIT, "--after", "footballers", "--candidates", "dribble"],
+    ["frobnicate"],
+]
+
+
+def test_main_builds_its_argument_parser_once_per_process(capsys, monkeypatch):
+    built = []  # every ArgumentParser made, sub-command parsers included
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    dsvs.cli._build_argparser.cache_clear()
+    try:
+        run(capsys, *ARGVS[0])
+        once = list(built)
+        for argv in ARGVS * 2:
+            run(capsys, *argv)
+    finally:
+        dsvs.cli._build_argparser.cache_clear()  # drop the counting parser
+    assert once and built == once
+
+
+@pytest.mark.parametrize("first", [
+    ["parse", "--trace", "--format", "json", "--strategy", "direct_sum"],
+    ["parse", "--trace", "--strategy", "unit"],
+    ["disambiguate", "--strategy", "unit"],
+])
+@pytest.mark.parametrize("then", [
+    ["parse", "--lexicon", BASE, "babies"],
+    ["disambiguate", "--lexicon", SPLIT, "footballers dribble"],
+    ["expect", "--lexicon", BASE, "--after", "babies", "--candidates", "vomit,score"],
+    ["parse", "babies"],  # no lexicon: none carries over from the first call
+])
+def test_a_call_carries_nothing_over_to_the_next(capsys, monkeypatch, first, then):
+    monkeypatch.delenv("DSVS_LEXICON", raising=False)
+    dsvs.cli._build_argparser.cache_clear()
+    alone = run(capsys, *then)
+    assert run(capsys, *first[:1], "--lexicon", BASE, *first[1:], "babies")[0] == 0
+    assert run(capsys, *then) == alone

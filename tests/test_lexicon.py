@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import dsvs.lexicon as lexicon_module
 from dsvs import (
     BOTTOM,
     TOP,
@@ -352,3 +353,21 @@ def test_float_tensors_survive_round_trip(tmp_path):
     out = tmp_path / "again.lexicon"
     save_lexicon(lex, out)
     assert load_lexicon(out).sense("a#n").tensor == t
+
+
+def test_a_load_resolves_each_type_spelling_once(monkeypatch):
+    # paper_s4 spells three types (e, et, eet) over eight tensor senses
+    spellings, types = [], []
+    parse, signature = lexicon_module.parse_type, lexicon_module.signature_of
+    monkeypatch.setattr(lexicon_module, "parse_type",
+                        lambda text: spellings.append(text) or parse(text))
+    monkeypatch.setattr(lexicon_module, "signature_of",
+                        lambda ty, smap: types.append(str(ty)) or signature(ty, smap))
+    for _ in range(2):  # kept for one load, not across loads
+        spellings.clear()
+        types.clear()
+        lex = load_lexicon(fixture_path("paper_s4"))
+        assert sum(s.tensor is not None for s in lex.senses) == 8
+        assert sorted(spellings) == ["e", "eet", "et"]
+        # once while reading the file, once more when Lexicon checks it
+        assert sorted(types) == sorted(["e", "⟨e,t⟩", "⟨e,⟨e,t⟩⟩"] * 2)

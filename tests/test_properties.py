@@ -39,6 +39,11 @@ The contraction kernel lays each contraction out once per signature pair
 and applies the layout itself; the reference for it is numpy's tensordot,
 bit for bit.
 
+Tensor entries given as nested lists are checked in one flat pass; the
+reference is the recursive walk it replaced.  On regular and ragged
+nestings of ints around the int64 edges, floats and booleans, the two
+refuse alike, and Tensor builds or refuses alike with either.
+
 Corpus splitting and counting are checked against line-by-line and
 excerpt-by-excerpt loops over plain token lists, empty arguments included.
 """
@@ -46,6 +51,7 @@ excerpt-by-excerpt loops over plain token lists, empty arguments included.
 import gc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +61,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import dsvs.parser
+import dsvs.tensor
 from dsvs import (
     BOTTOM,
     STRATEGIES,
@@ -687,6 +694,66 @@ def test_a_non_finite_result_is_refused_without_a_warning(drawn, b_entry):
                 contract(a, b, pairs)
             with pytest.raises(NonFiniteEntry):
                 mu(b, b)
+
+
+# ---------------------------------------------------------------------------
+# tensor entries
+
+
+INT64_EDGES = [2**63 - 1, 2**63, 2**63 + 1, -2**63, -2**63 - 1, 2**64 - 1, 2**64, -2**64]
+ENTRY_KINDS = {
+    "small ints": st.integers(-9, 9),
+    "ints": st.one_of(st.integers(-9, 9), st.integers(-2**65, 2**65),
+                      st.sampled_from(INT64_EDGES)),
+    "floats": st.floats(),  # NaN and infinities too, which _freeze refuses
+    "any": st.one_of(st.integers(-2**65, 2**65), st.sampled_from(INT64_EDGES),
+                     st.floats(), st.booleans(), st.booleans().map(np.bool_)),
+}
+ENTRY_SPACES = {d: Space(f"D{d}", tuple(f"x{k}" for k in range(d))) for d in (1, 2, 3)}
+
+
+def _list_or_tuple(elements, size=None):
+    lists = st.lists(elements, min_size=size or 0, max_size=4 if size is None else size)
+    return st.one_of(lists, lists.map(tuple))
+
+
+@st.composite
+def entry_lists(draw):
+    """Nested lists and tuples of entries with a signature to build them
+    over: regular ones of that signature's shape, which numpy can build,
+    and ragged ones, of any depth and with empty lists."""
+    entries = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    if draw(st.booleans()):
+        dims = draw(st.lists(st.sampled_from(sorted(ENTRY_SPACES)), min_size=1, max_size=3))
+        values = entries
+        for d in reversed(dims):
+            values = _list_or_tuple(values, d)
+        return draw(values), Signature(tuple(ENTRY_SPACES[d] for d in dims))
+    values = draw(_list_or_tuple(st.recursive(entries, _list_or_tuple, max_leaves=12)))
+    return values, Signature((ENTRY_SPACES[2],))
+
+
+def _outcome(build, values):
+    """None, the array built (dtype and bytes) or the exception raised
+    (type and message)."""
+    try:
+        made = build(values)
+    except Exception as e:
+        return type(e), str(e)
+    return None if made is None else (made.array.dtype.str, made.array.tobytes())
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(entry_lists())
+def test_tensor_entries_are_refused_as_the_recursive_walk_refused_them(drawn):
+    values, sig = drawn
+    want = _outcome(oracles.check_entries_walk, values)
+    assert _outcome(dsvs.tensor._check_entries, values) == want
+    got = _outcome(lambda v: Tensor(sig, v), values)
+    with mock.patch.object(dsvs.tensor, "_check_entries", oracles.check_entries_walk):
+        assert _outcome(lambda v: Tensor(sig, v), values) == got
+    if want is not None:
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

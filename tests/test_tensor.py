@@ -137,6 +137,37 @@ def test_tensor_equality_by_value():
     assert t1 != Tensor(Signature((B,)), [1, 2, 3])
 
 
+@pytest.mark.parametrize("one, other", [
+    ([1, 2], [1.0, 2.0]),  # int64 against float64
+    ([0.0, 1.5], [-0.0, 1.5]),
+    ([[0, -3], [7, 0]], [[-0.0, -3.0], [7.0, 0.0]]),
+])
+def test_equal_tensors_hash_equal(one, other):
+    sig = Signature((A,) * np.ndim(one))
+    a, b = Tensor(sig, one), Tensor(sig, other)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    ta, tb = TensorTuple((a, a)), TensorTuple((b, b))
+    assert ta == tb and hash(ta) == hash(tb) and len({ta, tb}) == 1
+
+
+@pytest.mark.parametrize("branches", [1, 2, 1000])
+def test_a_list_holding_itself_is_refused(branches):
+    # the entry check unpacks one level at a time; a list inside itself has
+    # no last level, and is refused once the levels outnumber the lists
+    looped = [1]
+    looped += [looped] * branches
+    with pytest.raises(RecursionError):
+        Tensor(Signature((A,)), looped)
+    with pytest.raises(RecursionError):
+        Tensor(Signature((A, A)), [[1, 2], looped])
+
+
+def test_shared_rows_are_not_a_loop():
+    row = [1, 2]
+    assert Tensor(Signature((A, A)), [row, row]).tolist() == [[1, 2], [1, 2]]
+    assert Tensor(Signature((A, A, A)), [[row, row]] * 2).tolist() == [[[1, 2]] * 2] * 2
+
+
 def test_contract_small_example_against_loops():
     m = Tensor(Signature((A, B)), [[1, 2, 3], [4, 5, 6]])
     v = Tensor(Signature((A,)), [7, 9])
