@@ -47,6 +47,7 @@ from .lexicon import (
     build_verb_matrix,
     load_lexicon,
     parse_excerpts,
+    parse_lexicon,
     read_corpus,
     save_lexicon,
     tokenize,

@@ -14,15 +14,24 @@ in both.
 
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
 word, no surviving parse), 2 for bad usage or malformed files.
+
+main may be called many times in one process.  Two things carry over
+between calls: the argument parser, and the last few lexicons parsed,
+each with the stand-ins built for it, kept under the lexicon file's path
+and exact text.  Every call reads the lexicon file again, so a file whose
+bytes changed is parsed anew, and a file that fails to load fails again
+on every call.  A call's output depends only on its arguments and the
+lexicon file's bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring
+from math import inf
 
 from .errors import DeadEnd, DsvsError, LexiconMiss, ParseError
 from .interpret import STRATEGIES, disambiguate, expect
@@ -33,7 +42,7 @@ from .lexicon import (
     Sense,
     build_cooccurrence,
     build_verb_matrix,
-    load_lexicon,
+    parse_lexicon,
     read_corpus,
     read_text,
     save_lexicon,
@@ -99,13 +108,20 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=4)
+def _parsed_lexicon(path: str, text: str) -> Lexicon:
+    """The lexicon in text, kept for later calls that read the same bytes
+    from the same path; a failure is not kept and raises every time."""
+    return parse_lexicon(text, path)
+
+
 def _need_lexicon(arg) -> Lexicon:
     path = arg or os.environ.get(ENV_LEXICON)
     if not path:
         raise ParseError(
             f"no lexicon given: pass --lexicon or set ${ENV_LEXICON}"
         )
-    return load_lexicon(path)
+    return _parsed_lexicon(path, read_text(path, "lexicon"))
 
 
 def _root_line(score, lexicon) -> str:
@@ -137,6 +153,71 @@ def _tree_json(tree, i: int | None = None) -> dict:
     if n.link is not None:
         o["link"] = _tree_json(tree, n.link)
     return o
+
+
+def _json_float(x: float) -> str:
+    """A float as json spells it: NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(o, indent: str, put) -> None:
+    """Put o's JSON text, as json.dumps(o, ensure_ascii=False, indent=2)
+    spells it, piece by piece; indent is the newline and indentation that
+    o's own line starts with.  json's encoder goes through its pure-Python
+    path whenever indent is set; this writer does the same job in about
+    half the time."""
+    if isinstance(o, str):
+        put(encode_basestring(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in o.items():  # encode_basestring refuses a non-str key
+            put(sep + encode_basestring(key) + ": ")
+            _write_json(value, inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, o)) == {int}:  # a row of counts, most of a tree
+            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + indent + "]")
+            return
+        sep = "[" + inner
+        for value in o:
+            put(sep)
+            _write_json(value, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(_json_float(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, ensure_ascii=False, indent=2), written directly."""
+    out: list[str] = []
+    _write_json(doc, "\n", out.append)
+    return "".join(out)
 
 
 def _candidate_json(rank, candidate, score) -> dict:
@@ -182,7 +263,7 @@ def _cmd_parse(args) -> int:
                 }
                 for word, pos, ranked in trace
             ]
-        print(json.dumps(doc, ensure_ascii=False, indent=2))
+        print(_json_text(doc))
         return 0
 
     if args.trace:

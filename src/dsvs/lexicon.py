@@ -318,7 +318,16 @@ def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read and validate a lexicon file.
+    """Read and validate a lexicon file: parse_lexicon of its text.
+
+    A file that cannot be read or decoded raises ParseError (see
+    read_text).  Each call builds a new Lexicon, with empty stand_ins.
+    """
+    return parse_lexicon(read_text(path, "lexicon"), path)
+
+
+def parse_lexicon(text: str, path) -> Lexicon:
+    """Validate the text of a lexicon file; path names it in messages.
 
     Syntax problems raise ParseError with file and position information;
     well-formed files that break a consistency rule (duplicate sense ids,
@@ -327,7 +336,6 @@ def load_lexicon(path) -> Lexicon:
     of 2 labels) raise ValidationError naming the offending sense or space.
     """
     p = Path(path)
-    text = read_text(p, "lexicon")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -107,8 +107,9 @@ class Signature:
     """An ordered tuple of spaces.  The empty signature denotes a scalar.
 
     Equal by value; the hash is computed once, on construction, so that
-    contract's plan lookup does not rehash every space on every call; a
-    copy or an unpickled signature is built anew, as a Space is.
+    contract's plan lookup does not rehash every space on every call, and
+    so is dims, the tuple of the spaces' dimensions; a copy or an unpickled
+    signature is built anew, as a Space is.
     """
 
     spaces: tuple[Space, ...] = ()
@@ -116,16 +117,13 @@ class Signature:
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
         object.__setattr__(self, "_hash", hash(self.spaces))
+        object.__setattr__(self, "dims", tuple(len(s.basis) for s in self.spaces))
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         return Signature, (self.spaces,)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.spaces)
 
     def __len__(self):
         return len(self.spaces)

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsvs
 import dsvs.cli
@@ -18,7 +20,7 @@ from dsvs import (
     parse_sequence,
     render,
 )
-from dsvs.cli import _tree_json, main
+from dsvs.cli import _json_text, _tree_json, main
 
 BASE = str(fixture_path("paper_s4"))
 SPLIT = str(fixture_path("split_senses"))
@@ -518,12 +520,20 @@ def test_main_builds_its_argument_parser_once_per_process(capsys, monkeypatch):
     ["parse", "--trace", "--format", "json", "--strategy", "direct_sum"],
     ["parse", "--trace", "--strategy", "unit"],
     ["disambiguate", "--strategy", "unit"],
+    ["parse", "--format", "json"],
+    ["disambiguate", "--strategy", "direct_sum"],
 ])
 @pytest.mark.parametrize("then", [
     ["parse", "--lexicon", BASE, "babies"],
     ["disambiguate", "--lexicon", SPLIT, "footballers dribble"],
     ["expect", "--lexicon", BASE, "--after", "babies", "--candidates", "vomit,score"],
     ["parse", "babies"],  # no lexicon: none carries over from the first call
+    ["parse", "--lexicon", BASE, "--format", "json", "--trace", "babies vomit"],
+    ["parse", "--lexicon", BASE, "--strategy", "direct_sum", "babies"],
+    ["parse", "--lexicon", TRACES, "--trace", "mary who likes"],
+    ["parse", "--lexicon", BASE, "control babies"],  # DeadEnd
+    ["parse", "--lexicon", BASE, "babies sing"],  # LexiconMiss
+    ["parse", "--lexicon", "/no/such/file", "babies"],
 ])
 def test_a_call_carries_nothing_over_to_the_next(capsys, monkeypatch, first, then):
     monkeypatch.delenv("DSVS_LEXICON", raising=False)
@@ -531,3 +541,135 @@ def test_a_call_carries_nothing_over_to_the_next(capsys, monkeypatch, first, the
     alone = run(capsys, *then)
     assert run(capsys, *first[:1], "--lexicon", BASE, *first[1:], "babies")[0] == 0
     assert run(capsys, *then) == alone
+
+
+# ---------------------------------------------------------------------------
+# the dsvs/1 JSON writer
+
+_TRICKY = '"\\/\x00\x08\t\n\x1f\x7f\u2028\u2029é⊤⟨e,t⟩漢😀'
+_texts = st.text(st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=8)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -2**63 - 1, 2**64, -2**100, 10**30]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16]),
+    _texts,
+)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), min_size=1, max_size=4),  # a row of counts
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(_documents)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_json_writer_spells_non_finite_floats_as_json_does(x):
+    for doc in (x, [x], {"x": [1, x]}):
+        try:
+            got = _json_text(doc)
+        except ValueError:
+            continue  # refusing is allowed; printing nan or inf is not
+        assert got == json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+@pytest.mark.parametrize("lexicon, words", [
+    (BASE, "babies vomit"),
+    (BASE, "footballers who score control"),
+    (SPLIT, "footballers dribble"),
+    (TRACES, "Mary, who sleeps, snores."),
+    (TRACES, ""),
+], ids=["paper_s4", "paper_s4-prefix", "split_senses", "traces", "traces-empty"])
+@pytest.mark.parametrize("strategy", ["unit", "sum", "direct_sum"])
+@pytest.mark.parametrize("trace", [(), ("--trace",)], ids=["plain", "trace"])
+def test_parse_json_is_what_json_dumps_writes(capsys, lexicon, words, strategy, trace):
+    code, out, err = run(capsys, "parse", "--lexicon", lexicon, "--format", "json",
+                         "--strategy", strategy, *trace, words)
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# lexicons kept between calls
+
+
+def test_a_kept_lexicon_is_used_only_for_the_same_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("DSVS_LEXICON", raising=False)
+    text = Path(BASE).read_text(encoding="utf-8")
+    changed = text.replace("[34, 10, 0, 0]", "[43, 10, 0, 0]")
+    assert changed != text and len(changed) == len(text)
+    fresh = tmp_path / "fresh.lexicon"
+    fresh.write_text(changed, encoding="utf-8")
+    want_changed = run(capsys, "parse", "--lexicon", str(fresh), "babies vomit")
+
+    for via_env in (False, True):
+        path = tmp_path / f"lexicon-{via_env}.lexicon"
+
+        def call(*argv):
+            if via_env:
+                monkeypatch.setenv("DSVS_LEXICON", str(path))
+                return run(capsys, *argv)
+            return run(capsys, argv[0], "--lexicon", str(path), *argv[1:])
+
+        path.write_text(text, encoding="utf-8")
+        first = call("parse", "babies vomit")
+        assert first[0] == 0 and "root S = (430, 98)" in first[1]
+        assert call("parse", "babies vomit") == first
+
+        # same length, same mtime, other bytes: parsed anew
+        st_ = path.stat()
+        path.write_text(changed, encoding="utf-8")
+        os.utime(path, ns=(st_.st_atime_ns, st_.st_mtime_ns))
+        assert path.stat().st_mtime_ns == st_.st_mtime_ns
+        assert call("parse", "babies vomit") == want_changed != first
+
+        # a malformed file fails the same way on every call
+        path.write_text(text[:-2], encoding="utf-8")
+        failed = [call("parse", "babies vomit") for _ in range(3)]
+        assert failed[0][0] == 2 and failed[0][1] == ""
+        assert failed[0][2].startswith("dsvs: ") and failed[0][2].count("\n") == 1
+        assert failed == [failed[0]] * 3
+
+        # restored, it loads again
+        path.write_text(text, encoding="utf-8")
+        assert call("parse", "babies vomit") == first
+        path.unlink()
+        gone = call("parse", "babies vomit")
+        assert gone[0] == 2 and "cannot read lexicon" in gone[2]
+        monkeypatch.delenv("DSVS_LEXICON", raising=False)
+
+
+def test_two_paths_with_the_same_bytes_each_work(capsys, tmp_path):
+    a, b = tmp_path / "a.lexicon", tmp_path / "b.lexicon"
+    for p in (a, b):
+        p.write_bytes(Path(SPLIT).read_bytes())
+    argv = ["disambiguate", "--strategy", "direct_sum", "footballers dribble"]
+    want = run(capsys, argv[0], "--lexicon", SPLIT, *argv[1:])
+    assert want[0] == 0
+    for p in (a, b, a, b):
+        assert run(capsys, argv[0], "--lexicon", str(p), *argv[1:]) == want
+    a.unlink()  # every call reads its file
+    assert run(capsys, argv[0], "--lexicon", str(a), *argv[1:])[0] == 2
+    assert run(capsys, argv[0], "--lexicon", str(b), *argv[1:]) == want
+
+
+def test_lexicons_are_kept_for_a_few_files_only(capsys, tmp_path):
+    for k in range(6):
+        p = tmp_path / f"{k}.lexicon"
+        p.write_bytes(Path(TRACES).read_bytes())
+        assert run(capsys, "parse", "--lexicon", str(p), "mary snores")[0] == 0
+    assert dsvs.cli._parsed_lexicon.cache_info().currsize <= 4
+    # load_lexicon itself still builds a new lexicon, stand-ins empty
+    assert load_lexicon(TRACES).stand_ins == {}

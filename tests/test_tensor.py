@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -67,6 +68,16 @@ def test_signatures_built_apart_are_equal_and_hash_equal():
     assert Space("W", ("y", "x")) != one[0]
     for again in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
         assert again == one and hash(again) == hash(one)
+
+
+def test_a_signature_computes_its_dims_once():
+    sig = Signature((A, B, A))
+    assert sig.dims == (2, 3, 2) and sig.dims is sig.dims
+    assert Signature(()).dims == ()
+    for again in (copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+        assert again.dims == (2, 3, 2) and again.dims is again.dims
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sig.dims = (1,)
 
 
 def test_a_reloaded_lexicon_finds_the_plans_of_the_first(monkeypatch):
