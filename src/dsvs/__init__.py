@@ -47,7 +47,6 @@ from .lexicon import (
     build_verb_matrix,
     load_lexicon,
     parse_excerpts,
-    parse_lexicon,
     read_corpus,
     save_lexicon,
     tokenize,

@@ -15,13 +15,10 @@ in both.
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
 word, no surviving parse), 2 for bad usage or malformed files.
 
-main may be called many times in one process.  Two things carry over
-between calls: the argument parser, and the last few lexicons parsed,
-each with the stand-ins built for it, kept under the lexicon file's path
-and exact text.  Every call reads the lexicon file again, so a file whose
-bytes changed is parsed anew, and a file that fails to load fails again
-on every call.  A call's output depends only on its arguments and the
-lexicon file's bytes.
+main may be called many times in one process.  Only the argument parser
+carries over between calls: every call loads its lexicon file anew and
+builds its own stand-ins, so a call's output depends only on its
+arguments and the lexicon file's bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from .lexicon import (
     Sense,
     build_cooccurrence,
     build_verb_matrix,
-    parse_lexicon,
+    load_lexicon,
     read_corpus,
     read_text,
     save_lexicon,
@@ -108,20 +105,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-@functools.lru_cache(maxsize=4)
-def _parsed_lexicon(path: str, text: str) -> Lexicon:
-    """The lexicon in text, kept for later calls that read the same bytes
-    from the same path; a failure is not kept and raises every time."""
-    return parse_lexicon(text, path)
-
-
 def _need_lexicon(arg) -> Lexicon:
     path = arg or os.environ.get(ENV_LEXICON)
     if not path:
         raise ParseError(
             f"no lexicon given: pass --lexicon or set ${ENV_LEXICON}"
         )
-    return _parsed_lexicon(path, read_text(path, "lexicon"))
+    return load_lexicon(path)
 
 
 def _root_line(score, lexicon) -> str:
@@ -190,9 +180,6 @@ def _write_json(o, indent: str, put) -> None:
             put("[]")
             return
         inner = indent + "  "
-        if set(map(type, o)) == {int}:  # a row of counts, most of a tree
-            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + indent + "]")
-            return
         sep = "[" + inner
         for value in o:
             put(sep)

@@ -76,13 +76,18 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     """
     direct, functions, entities = [], [], []
     smap = lexicon.space_map
+    lands = {}  # whether a result type denotes signature, once per type
     for s in lexicon.senses:
         if s.tensor is None:
             continue
         if s.sem_type == E:
             entities.append(s)
-        elif s.sem_type.is_function and signature_of(s.sem_type.res, smap) == signature:
-            functions.append(s)
+        elif s.sem_type.is_function:
+            res = s.sem_type.res
+            if res not in lands:
+                lands[res] = signature_of(res, smap) == signature
+            if lands[res]:
+                functions.append(s)
         if s.tensor.signature == signature:
             direct.append((s.sense_id, s.tensor))
     return Inventory(tuple(direct), tuple(functions), tuple(entities))

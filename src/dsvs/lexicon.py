@@ -236,6 +236,9 @@ class Lexicon:
             )
         seen = set()
         signatures = {}  # each distinct type's signature, resolved once
+        # one test over every entry; each sense's own only if it fails
+        arrays = [s.tensor.array.ravel() for s in self.senses if isinstance(s.tensor, Tensor)]
+        negative = bool(arrays) and bool((np.concatenate(arrays) < 0).any())
         for s in self.senses:
             if s.sense_id in seen:
                 raise ValidationError(f"duplicate sense id {s.sense_id!r}")
@@ -252,7 +255,7 @@ class Lexicon:
                     f"sense {s.sense_id!r}: {got} does not fit type {s.sem_type} "
                     f"(expected {sig!r})"
                 )
-            if (s.tensor.array < 0).any():
+            if negative and (s.tensor.array < 0).any():
                 raise ValidationError(f"sense {s.sense_id!r}: negative tensor "
                                       f"entry {s.tensor.array.min().item()}")
         index: dict[str, list[Sense]] = {}
@@ -318,16 +321,7 @@ def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Read and validate a lexicon file: parse_lexicon of its text.
-
-    A file that cannot be read or decoded raises ParseError (see
-    read_text).  Each call builds a new Lexicon, with empty stand_ins.
-    """
-    return parse_lexicon(read_text(path, "lexicon"), path)
-
-
-def parse_lexicon(text: str, path) -> Lexicon:
-    """Validate the text of a lexicon file; path names it in messages.
+    """Read and validate a lexicon file.
 
     Syntax problems raise ParseError with file and position information;
     well-formed files that break a consistency rule (duplicate sense ids,
@@ -336,6 +330,7 @@ def parse_lexicon(text: str, path) -> Lexicon:
     of 2 labels) raise ValidationError naming the offending sense or space.
     """
     p = Path(path)
+    text = read_text(p, "lexicon")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -32,7 +32,11 @@ from .tensor import Signature, Space, Tensor
 @dataclass(frozen=True)
 class SemType:
     """A type of the family: e, t, or a function from e to anything but e.
-    Use E, T, and fn() to build instances; other types raise ValueError."""
+    Use E, T, and fn() to build instances; other types raise ValueError.
+
+    Equal by value; the hash is computed once, on construction, as a
+    Space's is, since types key the lexicon's per-type dicts.
+    """
 
     atom: str | None = None
     arg: "SemType | None" = None
@@ -46,6 +50,13 @@ class SemType:
             raise ValueError("function type needs both argument and result")
         elif self.arg != E or self.res == E:
             raise ValueError(f"function type {self} needs argument e and result not e")
+        object.__setattr__(self, "_hash", hash((self.atom, self.arg, self.res)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return SemType, (self.atom, self.arg, self.res)
 
     @property
     def is_function(self) -> bool:

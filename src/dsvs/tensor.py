@@ -16,7 +16,10 @@ entry: the nesting is unpacked a level at a time with
 itertools.chain.from_iterable, the leaf types are screened as one set, and
 plain ints are range-checked by their min and max.  Only where a boolean
 or an int outside int64 may be among them are the leaves walked in
-row-major order, so the first offending entry is the one named.
+row-major order, so the first offending entry is the one named.  When
+every leaf is a plain int and the nesting is regular, as in a lexicon
+file, numpy builds the array from the flat list of leaves, which costs
+about half what building it from the nesting does.
 
 The results of contract, mu and sum_tensors are built by one trusted path
 instead: their arrays are fresh int64 or float64 arrays of the right shape
@@ -151,23 +154,7 @@ def _check_entries(values) -> None:
     last level: once more levels are unpacked than there are distinct
     lists, it is refused with RecursionError, as a recursive walk was.
     """
-    entries, depth, lists = values, 1, {id(values)}
-    while True:
-        types = set(map(type, entries))
-        nested = [t for t in types if issubclass(t, (list, tuple))]
-        if not nested:
-            break
-        ragged = len(nested) < len(types)
-        if ragged:
-            lists.update(id(v) for v in entries if isinstance(v, (list, tuple)))
-        else:
-            lists.update(map(id, entries))
-        depth += 1
-        if depth > len(lists):
-            raise RecursionError("tensor entries hold a list inside itself")
-        if ragged:  # unpack the lists and tuples where they stand
-            entries = [v if isinstance(v, (list, tuple)) else (v,) for v in entries]
-        entries = list(chain.from_iterable(entries))
+    entries, types, _ = _leaves(values)
     if types == {int}:
         if -2**63 <= min(entries) and max(entries) < 2**63:
             return
@@ -180,14 +167,67 @@ def _check_entries(values) -> None:
             raise ValueError(f"tensor entry {v} is outside the int64 range")
 
 
+def _leaves(values) -> tuple[list, set, list[int] | None]:
+    """The entries of nested lists and tuples in row-major order, the set
+    of their types, and the nesting's shape, which is None unless the
+    lists at each level all hold lists or all hold entries, and are all
+    of one length.  See _check_entries."""
+    entries, depth, lists = values, 1, {id(values)}
+    shape = [len(values)]
+    while True:
+        types = set(map(type, entries))
+        nested = [t for t in types if issubclass(t, (list, tuple))]
+        if not nested:
+            return entries, types, shape
+        ragged = len(nested) < len(types)
+        if ragged:
+            shape = None
+            lists.update(id(v) for v in entries if isinstance(v, (list, tuple)))
+        else:
+            lists.update(map(id, entries))
+            if shape is not None:
+                lengths = set(map(len, entries))
+                shape = shape + [lengths.pop()] if len(lengths) == 1 else None
+        depth += 1
+        if depth > len(lists):
+            raise RecursionError("tensor entries hold a list inside itself")
+        if ragged:  # unpack the lists and tuples where they stand
+            entries = [v if isinstance(v, (list, tuple)) else (v,) for v in entries]
+        entries = list(chain.from_iterable(entries))
+
+
 def _check_finite(arr: np.ndarray) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
         raise NonFiniteEntry(f"tensor entry {arr[~finite][0]} is not a finite number")
 
 
+def _int_array(values) -> np.ndarray | None:
+    """Nested lists as a read-only int64 array, built from the flat list of
+    entries, which numpy does about twice as fast as from the nesting; None
+    unless every entry is a plain int within int64 and the nesting is
+    regular.  Lists whose first entry is no plain int are not flattened."""
+    first = values
+    while isinstance(first, (list, tuple)) and first:
+        first = first[0]
+    if type(first) is not int:
+        return None
+    entries, types, shape = _leaves(values)
+    if types != {int} or shape is None:
+        return None
+    arr = np.array(entries)
+    if arr.dtype != np.int64:  # numpy's choice when an entry is outside int64
+        return None
+    arr = arr.reshape(shape)
+    arr.setflags(write=False)
+    return arr
+
+
 def _freeze(values) -> np.ndarray:
     if isinstance(values, (list, tuple)):
+        arr = _int_array(values)
+        if arr is not None:
+            return arr
         _check_entries(values)
     arr = np.array(values)
     if arr.dtype.kind in "iu":

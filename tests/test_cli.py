@@ -601,11 +601,29 @@ def test_parse_json_is_what_json_dumps_writes(capsys, lexicon, words, strategy, 
     assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("lexicon, words", [
+    (BASE, "babies who vomit"),
+    (SPLIT, "footballers dribble"),
+    (TRACES, "Mary, who sleeps, snores."),
+], ids=["paper_s4", "split_senses", "traces"])
+def test_a_dsvs_process_prints_json_as_json_dumps_does(lexicon, words):
+    # the text goes through the process's own stdout encoding
+    env = {**os.environ, "PYTHONPATH": str(Path(dsvs.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dsvs.cli", "parse", "--lexicon", lexicon,
+         "--format", "json", "--trace", words],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = proc.stdout.decode("utf-8")
+    assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
-# lexicons kept between calls
+# the lexicon file, read on every call
 
 
-def test_a_kept_lexicon_is_used_only_for_the_same_bytes(capsys, tmp_path, monkeypatch):
+def test_every_call_reads_the_lexicon_file_again(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("DSVS_LEXICON", raising=False)
     text = Path(BASE).read_text(encoding="utf-8")
     changed = text.replace("[34, 10, 0, 0]", "[43, 10, 0, 0]")
@@ -628,7 +646,7 @@ def test_a_kept_lexicon_is_used_only_for_the_same_bytes(capsys, tmp_path, monkey
         assert first[0] == 0 and "root S = (430, 98)" in first[1]
         assert call("parse", "babies vomit") == first
 
-        # same length, same mtime, other bytes: parsed anew
+        # same length, same mtime, other bytes: the new lexicon's output
         st_ = path.stat()
         path.write_text(changed, encoding="utf-8")
         os.utime(path, ns=(st_.st_atime_ns, st_.st_mtime_ns))
@@ -642,34 +660,10 @@ def test_a_kept_lexicon_is_used_only_for_the_same_bytes(capsys, tmp_path, monkey
         assert failed[0][2].startswith("dsvs: ") and failed[0][2].count("\n") == 1
         assert failed == [failed[0]] * 3
 
-        # restored, it loads again
+        # restored, it loads again; deleted, it is missed
         path.write_text(text, encoding="utf-8")
         assert call("parse", "babies vomit") == first
         path.unlink()
         gone = call("parse", "babies vomit")
         assert gone[0] == 2 and "cannot read lexicon" in gone[2]
         monkeypatch.delenv("DSVS_LEXICON", raising=False)
-
-
-def test_two_paths_with_the_same_bytes_each_work(capsys, tmp_path):
-    a, b = tmp_path / "a.lexicon", tmp_path / "b.lexicon"
-    for p in (a, b):
-        p.write_bytes(Path(SPLIT).read_bytes())
-    argv = ["disambiguate", "--strategy", "direct_sum", "footballers dribble"]
-    want = run(capsys, argv[0], "--lexicon", SPLIT, *argv[1:])
-    assert want[0] == 0
-    for p in (a, b, a, b):
-        assert run(capsys, argv[0], "--lexicon", str(p), *argv[1:]) == want
-    a.unlink()  # every call reads its file
-    assert run(capsys, argv[0], "--lexicon", str(a), *argv[1:])[0] == 2
-    assert run(capsys, argv[0], "--lexicon", str(b), *argv[1:]) == want
-
-
-def test_lexicons_are_kept_for_a_few_files_only(capsys, tmp_path):
-    for k in range(6):
-        p = tmp_path / f"{k}.lexicon"
-        p.write_bytes(Path(TRACES).read_bytes())
-        assert run(capsys, "parse", "--lexicon", str(p), "mary snores")[0] == 0
-    assert dsvs.cli._parsed_lexicon.cache_info().currsize <= 4
-    # load_lexicon itself still builds a new lexicon, stand-ins empty
-    assert load_lexicon(TRACES).stand_ins == {}

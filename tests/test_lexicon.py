@@ -24,7 +24,6 @@ from dsvs import (
     fixture_path,
     load_lexicon,
     parse_excerpts,
-    parse_lexicon,
     parse_type,
     read_corpus,
     save_lexicon,
@@ -372,13 +371,3 @@ def test_a_load_resolves_each_type_spelling_once(monkeypatch):
         assert sorted(spellings) == ["e", "eet", "et"]
         # once while reading the file, once more when Lexicon checks it
         assert sorted(types) == sorted(["e", "⟨e,t⟩", "⟨e,⟨e,t⟩⟩"] * 2)
-
-
-def test_parse_lexicon_reads_text_as_load_lexicon_reads_the_file(tmp_path):
-    path = fixture_path("paper_s4")
-    text = path.read_text(encoding="utf-8")
-    assert parse_lexicon(text, path) == load_lexicon(path)
-    # messages name the path given, as a load names its file
-    with pytest.raises(ParseError) as err:
-        parse_lexicon('{\n  "format": oops\n}', tmp_path / "named.lexicon")
-    assert str(err.value).startswith(f"{tmp_path / 'named.lexicon'}: line 2")

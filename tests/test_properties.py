@@ -756,6 +756,17 @@ def test_tensor_entries_are_refused_as_the_recursive_walk_refused_them(drawn):
         assert got == want
 
 
+@settings(max_examples=400, deadline=None, database=None)
+@given(entry_lists())
+def test_int_tensors_built_from_the_flat_entries_are_those_built_from_the_nesting(drawn):
+    # with the shape withheld, _freeze builds every array from the nesting
+    values, sig = drawn
+    got = _outcome(lambda v: Tensor(sig, v), values)
+    leaves = dsvs.tensor._leaves
+    with mock.patch.object(dsvs.tensor, "_leaves", lambda v: (*leaves(v)[:2], None)):
+        assert _outcome(lambda v: Tensor(sig, v), values) == got
+
+
 # ---------------------------------------------------------------------------
 # corpus splitting and counting
 

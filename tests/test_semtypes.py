@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from dsvs import (
@@ -88,3 +91,12 @@ def test_application_slot():
     assert application_slot(parse_type("eeet")) == 3
     with pytest.raises(ValueError):
         application_slot(E)
+
+
+def test_types_built_apart_are_equal_and_hash_equal():
+    for spelling in ("e", "t", "et", "eet", "eeet"):
+        one, two = parse_type(spelling), parse_type(spelling)
+        assert one == two and hash(one) == hash(two) and {one: 1}[two] == 1
+        for again in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
+            assert again == one and hash(again) == hash(one)
+    assert fn(E, fn(E, T)) != fn(E, T) and hash(fn(E, T)) == hash(parse_type("et"))
