@@ -28,7 +28,7 @@ import functools
 import os
 import sys
 from json.encoder import encode_basestring
-from math import inf
+from math import isfinite
 
 from .errors import DeadEnd, DsvsError, LexiconMiss, ParseError
 from .interpret import STRATEGIES, disambiguate, expect
@@ -145,23 +145,14 @@ def _tree_json(tree, i: int | None = None) -> dict:
     return o
 
 
-def _json_float(x: float) -> str:
-    """A float as json spells it: NaN and the infinities by name."""
-    if x != x:
-        return "NaN"
-    if x == inf:
-        return "Infinity"
-    if x == -inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _write_json(o, indent: str, put) -> None:
     """Put o's JSON text, as json.dumps(o, ensure_ascii=False, indent=2)
     spells it, piece by piece; indent is the newline and indentation that
     o's own line starts with.  json's encoder goes through its pure-Python
     path whenever indent is set; this writer does the same job in about
-    half the time."""
+    half the time.  A NaN or infinite float raises ValueError, as with
+    allow_nan=False: no dsvs/1 document holds one, since tensors and
+    scores refuse non-finite values."""
     if isinstance(o, str):
         put(encode_basestring(o))
     elif isinstance(o, dict):
@@ -195,7 +186,9 @@ def _write_json(o, indent: str, put) -> None:
     elif isinstance(o, int):
         put(int.__repr__(o))
     elif isinstance(o, float):
-        put(_json_float(o))
+        if not isfinite(o):
+            raise ValueError("Out of range float values are not JSON compliant")
+        put(float.__repr__(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

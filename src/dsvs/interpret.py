@@ -76,18 +76,13 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     """
     direct, functions, entities = [], [], []
     smap = lexicon.space_map
-    lands = {}  # whether a result type denotes signature, once per type
     for s in lexicon.senses:
         if s.tensor is None:
             continue
-        if s.sem_type == E:
+        if s.sem_type is E:
             entities.append(s)
-        elif s.sem_type.is_function:
-            res = s.sem_type.res
-            if res not in lands:
-                lands[res] = signature_of(res, smap) == signature
-            if lands[res]:
-                functions.append(s)
+        elif s.sem_type.is_function and signature_of(s.sem_type.res, smap) == signature:
+            functions.append(s)
         if s.tensor.signature == signature:
             direct.append((s.sense_id, s.tensor))
     return Inventory(tuple(direct), tuple(functions), tuple(entities))
@@ -124,21 +119,19 @@ class Inventory(_Lazy):
     saturation is contracted each time it is read.
     """
 
-    __slots__ = ("_direct", "_functions", "_entities", "_slot")
+    __slots__ = ("_direct", "_functions", "_entities")
 
     def __init__(self, direct, functions, entities):
-        slot = application_slot(functions[0].sem_type) if functions else None
-
         def item(i):  # holds the tuples, not self: no reference cycle
             if i < len(direct):
                 return direct[i]
             k, j = divmod(i - len(direct), len(entities))
             f, a = functions[k], entities[j]
+            slot = application_slot(f.sem_type)
             return f"{f.sense_id}+{a.sense_id}", contract(f.tensor, a.tensor, [(slot, 0)])
 
         super().__init__(len(direct) + len(functions) * len(entities), item)
         self._direct, self._functions, self._entities = direct, functions, entities
-        self._slot = slot
 
     def total(self) -> Tensor:
         """Entrywise sum of every item (there must be one), in closed form.
@@ -153,7 +146,7 @@ class Inventory(_Lazy):
             parts.append(contract(
                 sum_tensors([f.tensor for f in self._functions]),
                 sum_tensors([a.tensor for a in self._entities]),
-                [(self._slot, 0)],
+                [(application_slot(self._functions[0].sem_type), 0)],
             ))
         return sum_tensors(parts)
 

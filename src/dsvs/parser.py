@@ -178,7 +178,7 @@ def _fold(nodes, flags, n: Node, v):
     without a formula is unfinished; whether one with a formula was
     reopened below, flags, the Tree.open flags of nodes' leaves, tell.
     """
-    if v is None or n.sem_type != T:
+    if v is None or n.sem_type is not T:
         return v
     while not n.is_leaf:
         j = nodes[n.argument].link
@@ -207,7 +207,7 @@ def _predict(tree: Tree) -> Tree:
     apply_link and arguments are entities, so in a parse this fires on
     the axiom only."""
     p = tree.pointed
-    if p.requirement and p.sem_type == T and p.is_leaf:
+    if p.requirement and p.sem_type is T and p.is_leaf:
         return _sprout(tree, p.node_id, None, (ET, None))
     return tree
 
@@ -239,7 +239,7 @@ def saturate(tree: Tree) -> Tree:
         changed = p is not None
         if changed:
             nodes[n.node_id] = Node(n.node_id, n.sem_type, _fold(nodes, flags, n, p), n.argument,
-                                    n.functor, n.link, n.parent, p if n.sem_type == T else None)
+                                    n.functor, n.link, n.parent, p if n.sem_type is T else None)
         i = n.node_id
     saturated = Tree(tuple(nodes), tree.pointer)
     saturated.__dict__["open"] = flags
@@ -309,7 +309,7 @@ def apply_link(tree: Tree) -> Tree | None:
     adjunct is ever a bare proposition requirement.
     """
     p = tree.pointed
-    if not (p.sem_type == E and p.complete and p.link is None):
+    if not (p.sem_type is E and p.complete and p.link is None):
         return None
     base = len(tree.nodes)
     hung = tree.with_node(
@@ -336,11 +336,11 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
         return None
     ty = sense.sem_type
 
-    if ty == p.sem_type:
+    if ty is p.sem_type:
         return tree.with_node(
             Node(p.node_id, p.sem_type, sense.tensor, p.argument, p.functor, p.link, p.parent))
 
-    if ty.is_function and ty.res == p.sem_type and p.sem_type.is_function:
+    if ty.is_function and ty.res is p.sem_type and p.sem_type.is_function:
         return _sprout(tree, p.node_id, None, (ty, sense.tensor))
 
     return None

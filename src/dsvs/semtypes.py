@@ -18,42 +18,55 @@ tensor signature:
 so an n-place predicate is a tensor with n entity slots around a single
 sentence-space slot, the first entity slot belonging to the first argument
 composed when the predicate is reduced all the way down to t.
+
+Each type is one object, so types compare and hash by identity.
+signature_of and application_slot work out what a type denotes once and
+keep the answer; callers need no memo of their own.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .tensor import Signature, Space, Tensor
 
 
-@dataclass(frozen=True)
+_TYPES: dict = {}  # (atom, arg, res) -> the one SemType built from them
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SemType:
     """A type of the family: e, t, or a function from e to anything but e.
     Use E, T, and fn() to build instances; other types raise ValueError.
 
-    Equal by value; the hash is computed once, on construction, as a
-    Space's is, since types key the lexicon's per-type dicts.
+    There is one object per type: building a type again, by any route
+    (fn, parse_type, SemType(...), copy or unpickling), returns the object
+    first built from the same (atom, arg, res), so equality and hashing
+    are identity.  A type that fails its check is never kept.
     """
 
     atom: str | None = None
     arg: "SemType | None" = None
     res: "SemType | None" = None
 
-    def __post_init__(self):
-        if self.atom is not None:
-            if self.atom not in ("e", "t") or self.arg or self.res:
-                raise ValueError(f"bad atomic type {self.atom!r}")
-        elif self.arg is None or self.res is None:
+    def __new__(cls, atom=None, arg=None, res=None):
+        if atom is not None:
+            if atom not in ("e", "t") or arg or res:
+                raise ValueError(f"bad atomic type {atom!r}")
+        elif arg is None or res is None:
             raise ValueError("function type needs both argument and result")
-        elif self.arg != E or self.res == E:
-            raise ValueError(f"function type {self} needs argument e and result not e")
-        object.__setattr__(self, "_hash", hash((self.atom, self.arg, self.res)))
-
-    def __hash__(self):
-        return self._hash
+        elif arg is not E or res is E:
+            raise ValueError(f"function type ⟨{arg},{res}⟩ needs argument e and result not e")
+        key = (atom, arg, res)
+        ty = _TYPES.get(key)
+        if ty is None:
+            ty = object.__new__(cls)
+            ty.__dict__.update(atom=atom, arg=arg, res=res)
+            ty = _TYPES.setdefault(key, ty)  # the first one made, if another thread won
+        return ty
 
     def __reduce__(self):
         return SemType, (self.atom, self.arg, self.res)
@@ -111,16 +124,18 @@ class SpaceMap(NamedTuple):
     sentence: Space
 
 
+@cache
 def signature_of(ty: SemType, smap: SpaceMap) -> Signature:
     """Tensor signature denoted by a type under a space map.
 
-    Total, since every SemType lies in the e...et family.
+    Total, since every SemType lies in the e...et family.  Worked out once
+    per type and space map; later calls return the same Signature.
     """
-    if ty == E:
+    if ty is E:
         return Signature((smap.entity,))
-    if ty == T:
+    if ty is T:
         return Signature((smap.sentence,))
-    if ty.res == T:
+    if ty.res is T:
         return Signature((smap.entity, smap.sentence))
     return Signature(tuple(signature_of(ty.res, smap)) + (smap.entity,))
 
@@ -133,6 +148,7 @@ def check_formula(ty: SemType, formula, smap: SpaceMap) -> bool:
     return isinstance(formula, Tensor) and formula.signature == signature_of(ty, smap)
 
 
+@cache
 def application_slot(ty: SemType) -> int:
     """Which slot of a function type's tensor its next argument binds.
 
@@ -141,8 +157,8 @@ def application_slot(ty: SemType) -> int:
     final application lands on slot 0.  The signature of <e,...,t> with n
     arguments has n+1 slots, one per letter of its flat spelling: slot 0
     for the innermost argument, the sentence slot next, then one slot per
-    remaining argument outward.
+    remaining argument outward.  Worked out once per type.
     """
     if not ty.is_function:
         raise ValueError(f"type {ty} is not a function type")
-    return 0 if ty.res == T else len(ty.compact()) - 1
+    return 0 if ty.res is T else len(ty.compact()) - 1

@@ -667,3 +667,99 @@ def test_every_call_reads_the_lexicon_file_again(capsys, tmp_path, monkeypatch):
         gone = call("parse", "babies vomit")
         assert gone[0] == 2 and "cannot read lexicon" in gone[2]
         monkeypatch.delenv("DSVS_LEXICON", raising=False)
+
+
+def _first_sense(**fields):
+    """An edit of the lexicon document that sets (or, for None, drops)
+    fields of its first sense."""
+    def edit(doc):
+        for key, value in fields.items():
+            if value is None:
+                del doc["senses"][0][key]
+            else:
+                doc["senses"][0][key] = value
+    return edit
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("senses", [1]), "senses[0]: expected an object"),
+    (_set("senses", {"baby#n": {}}), "'senses' must be an array"),
+    (_first_sense(id=7), "senses[0]: id, word and type must be strings"),
+    (_first_sense(word=["baby"]), "senses[0]: id, word and type must be strings"),
+    (_first_sense(type=["e"]), "senses[0]: id, word and type must be strings"),
+    (_first_sense(gloss=3), "senses[0] (baby#n): gloss must be a string"),
+    (_first_sense(forms="babies"), "senses[0] (baby#n): forms must be a list of strings"),
+    (_first_sense(forms=["babies", 2]), "senses[0] (baby#n): forms must be a list of strings"),
+    (_first_sense(tensor=None), "senses[0] (baby#n): missing required field 'tensor'"),
+    (_set("spaces", {}), "'spaces' must be a non-empty object"),
+    (_set("spaces", [["W", ["infant"]]]), "'spaces' must be a non-empty object"),
+    (lambda doc: doc["spaces"].__setitem__("W", "infant"),
+     "space 'W': basis must be a list of strings"),
+    (_set("map", ["W", "S"]), "'map' must be an object"),
+], ids=["sense-not-object", "senses-not-array", "id-not-string", "word-not-string",
+        "type-not-string", "gloss-not-string", "forms-not-list", "forms-not-strings",
+        "tensor-missing", "spaces-empty", "spaces-not-object", "basis-not-list",
+        "map-not-object"])
+def test_a_malformed_lexicon_document_exits_two_naming_the_fault(capsys, tmp_path, edit, message):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "bad.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
+    assert (code, out) == (2, "")
+    assert err.startswith("dsvs: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("text", ["[]", '"lexicon"', "null"])
+def test_a_lexicon_that_is_not_an_object_exits_two(capsys, tmp_path, text):
+    path = tmp_path / "bad.lexicon"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies")
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {path}: top level must be an object\n"
+
+
+def test_a_repeated_basis_label_is_named_with_the_file(capsys, tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    doc["spaces"]["S"] = ["⊤", "⊤"]
+    path = tmp_path / "twice.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "disambiguate", "--lexicon", str(path), "babies vomit")
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {path}: space 'S' has duplicate basis labels\n"
+    with pytest.raises(dsvs.ValidationError):
+        load_lexicon(path)
+
+
+def test_lexicon_build_refuses_two_words_on_a_contexts_line(capsys, tmp_path):
+    code, out, err, built = build_from(capsys, tmp_path, "baby e\n", "milk\n# x\nmilk cry\n")
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {tmp_path / 'contexts.txt'}:3: expected one word per line\n"
+    assert not built.exists()
+
+
+@pytest.mark.parametrize("line", ["baby", "baby e et"])
+def test_lexicon_build_refuses_a_targets_line_without_two_fields(capsys, tmp_path, line):
+    code, out, err, built = build_from(capsys, tmp_path, f"cry e\n{line}\n", "milk\n")
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {tmp_path / 'targets.txt'}:2: expected 'word kind' per line\n"
+    assert not built.exists()
+
+
+def test_lexicon_build_counts_a_single_corpus_file(capsys, tmp_path):
+    files = build_inputs(tmp_path)
+    (files["--corpus"] / "text.txt").write_text(CORPUS, encoding="utf-8")
+    files["--targets"].write_text("infant e\ndribble et\n", encoding="utf-8")
+    files["--contexts"].write_text("infant\nnappy\npitch\ngoal\n", encoding="utf-8")
+    built = {}
+    for corpus in (files["--corpus"], files["--corpus"] / "text.txt"):
+        files["--corpus"] = corpus
+        argv = [str(x) for option, path in files.items() for x in (option, path)]
+        code, out, err = run(capsys, "lexicon", "build", *argv)
+        assert (code, err) == (0, "") and "2 senses over 4 excerpts" in out
+        built[corpus.name] = files["--out"].read_bytes()
+    assert built["corpus"] == built["text.txt"]

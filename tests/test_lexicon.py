@@ -227,6 +227,13 @@ def test_load_bundled_lexicons(base_lex, split_lex, traces_lex):
     assert len(traces_lex.senses) == 6
 
 
+@pytest.mark.parametrize("name", ["paper_s5", "lexicon", "paper_s4.json", ""])
+def test_fixture_path_refuses_an_unknown_name(name):
+    with pytest.raises(FileNotFoundError, match="no bundled lexicon named"):
+        fixture_path(name)
+    assert fixture_path("traces") == fixture_path("traces.lexicon")
+
+
 def test_save_then_load_reproduces_everything(tmp_path, base_lex, split_lex, traces_lex):
     for lex in (base_lex, split_lex, traces_lex):
         out = tmp_path / "roundtrip.lexicon"

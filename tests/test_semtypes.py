@@ -1,5 +1,7 @@
 import copy
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -18,6 +20,7 @@ from dsvs import (
     parse_type,
     signature_of,
 )
+from dsvs import semtypes as semtypes_module
 
 W = Space("W", ("w1", "w2", "w3"))
 S = Space("S", ("yes", "no"))
@@ -100,3 +103,67 @@ def test_types_built_apart_are_equal_and_hash_equal():
         for again in (copy.deepcopy(one), pickle.loads(pickle.dumps(one))):
             assert again == one and hash(again) == hash(one)
     assert fn(E, fn(E, T)) != fn(E, T) and hash(fn(E, T)) == hash(parse_type("et"))
+
+
+def test_each_type_is_one_object():
+    assert SemType(atom="e") is E and SemType(atom="t") is T
+    assert fn(E, T) is parse_type("et") is SemType(arg=E, res=T)
+    assert parse_type("eeet") is fn(E, fn(E, fn(E, T)))
+    # equality and hashing are identity, with no hash of their own
+    assert type(E).__eq__ is object.__eq__ and "__hash__" not in vars(SemType)
+    assert not hasattr(E, "_hash")
+
+
+def test_copies_and_unpickled_types_are_the_type_itself():
+    for spelling in ("e", "t", "et", "eet", "eeet"):
+        ty = parse_type(spelling)
+        assert copy.copy(ty) is ty
+        assert copy.deepcopy(ty) is ty
+        assert copy.deepcopy([ty, ty])[1] is ty
+        assert pickle.loads(pickle.dumps(ty)) is ty
+
+
+def test_a_refused_type_is_never_kept():
+    kept = len(semtypes_module._TYPES)
+    for _ in range(3):
+        for bad in ({"atom": "x"}, {"arg": E}, {"arg": T, "res": T}, {"arg": E, "res": E}):
+            with pytest.raises(ValueError):
+                SemType(**bad)
+    assert len(semtypes_module._TYPES) == kept
+
+
+def test_signature_and_slot_are_worked_out_once():
+    for spelling in ("e", "t", "et", "eet"):
+        ty = parse_type(spelling)
+        assert signature_of(ty, SMAP) is signature_of(ty, SMAP)
+    application_slot(parse_type("eet"))
+    hits = application_slot.cache_info().hits
+    assert application_slot(fn(E, fn(E, T))) == 2
+    assert application_slot.cache_info().hits == hits + 1
+
+
+def test_threads_building_a_new_type_at_once_get_one_object():
+    # spellings no other test builds, so every thread races to make them
+    spellings = ["e" * k + "t" for k in range(300, 340)]
+    built = [[] for _ in range(8)]
+    start = threading.Barrier(len(built))
+
+    def build(out):
+        start.wait(timeout=10)
+        out.extend(parse_type(s) for s in spellings)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(spellings) for out in built)
+    for types in zip(*built):
+        assert all(ty is types[0] for ty in types)
+    assert all(ty is parse_type(s) for ty, s in zip(built[0], spellings))

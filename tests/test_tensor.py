@@ -314,3 +314,27 @@ def test_mu_laws():
         assert mu(x, y).tolist() == oracles.mul_lists(x.tolist(), y.tolist())
     with pytest.raises(SignatureMismatch):
         mu(u, unit_tensor(Signature((A,))))
+
+
+def test_a_uint64_array_beyond_int64_is_refused_not_wrapped():
+    big = np.iinfo(np.int64).max + 1
+    with pytest.raises(ValueError, match=f"tensor entry {big} is outside the int64 range"):
+        Tensor(Signature((A,)), np.array([big, 1], dtype=np.uint64))
+    # within range, a uint64 array is kept exactly, as int64
+    t = Tensor(Signature((A,)), np.array([big - 1, 0], dtype=np.uint64))
+    assert t.array.dtype == np.int64 and t.tolist() == [big - 1, 0]
+
+
+def test_entry_needs_one_label_per_slot():
+    t = Tensor(Signature((A, B)), [[1, 2, 3], [4, 5, 6]])
+    for labels in (("a2",), ("a2", "b1", "b1"), ()):
+        with pytest.raises(ValueError, match=f"expected 2 labels, got {len(labels)}"):
+            t.entry(*labels)
+
+
+def test_a_tensor_tuple_with_a_given_sum_still_needs_a_component():
+    t = Tensor(Signature((A,)), [1, 2])
+    for empty in ([], (), range(0)):
+        with pytest.raises(EmptyList):
+            TensorTuple(empty, collapsed=t)
+    assert list(TensorTuple([t], collapsed=t)) == [t]
