@@ -315,7 +315,7 @@ def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
         raise ParseError(f"senses[{pos}] ({sid}): missing required field 'tensor'")
     try:
         tensor = Tensor(sig, obj["tensor"])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, RecursionError) as e:
         raise ValidationError(f"sense {sid!r}: bad tensor: {e}")
     return Sense(sid, word, ty, tensor, gloss=gloss, forms=tuple(forms))
 
@@ -323,7 +323,8 @@ def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
 def load_lexicon(path) -> Lexicon:
     """Read and validate a lexicon file.
 
-    Syntax problems raise ParseError with file and position information;
+    Syntax problems raise ParseError with file and position information,
+    and a document nested too deeply to decode, ParseError naming the file;
     well-formed files that break a consistency rule (duplicate sense ids,
     tensors that do not fit their type, tensor entries that are negative,
     booleans, non-finite or integers outside int64, a sentence space not
@@ -335,6 +336,8 @@ def load_lexicon(path) -> Lexicon:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{p}: line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise ParseError(f"{p}: nested too deeply to decode")
 
     if not isinstance(doc, dict):
         raise ParseError(f"{p}: top level must be an object")

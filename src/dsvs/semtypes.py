@@ -54,10 +54,12 @@ class SemType:
 
     def __new__(cls, atom=None, arg=None, res=None):
         if atom is not None:
-            if atom not in ("e", "t") or arg or res:
+            if atom not in ("e", "t") or arg is not None or res is not None:
                 raise ValueError(f"bad atomic type {atom!r}")
         elif arg is None or res is None:
             raise ValueError("function type needs both argument and result")
+        elif not isinstance(res, SemType):
+            raise ValueError(f"function type result {res!r} is not a type")
         elif arg is not E or res is E:
             raise ValueError(f"function type ⟨{arg},{res}⟩ needs argument e and result not e")
         key = (atom, arg, res)

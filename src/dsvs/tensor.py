@@ -10,16 +10,15 @@ data stays exact; everything else is carried as float64; booleans,
 non-finite floats and integers outside int64 are refused.  Arrays are
 copied on construction and marked read-only, so tensors behave as values.
 
-Entries given as nested lists or tuples, as a lexicon file gives them, are
-checked before numpy sees them, in one flat pass rather than a walk per
-entry: the nesting is unpacked a level at a time with
-itertools.chain.from_iterable, the leaf types are screened as one set, and
-plain ints are range-checked by their min and max.  Only where a boolean
-or an int outside int64 may be among them are the leaves walked in
-row-major order, so the first offending entry is the one named.  When
-every leaf is a plain int and the nesting is regular, as in a lexicon
-file, numpy builds the array from the flat list of leaves, which costs
-about half what building it from the nesting does.
+Entries given as nested lists or tuples, as a lexicon file gives them, go
+through numpy once as an object array: numpy finds the regular shape and
+keeps each entry the Python object it was.  When every entry is a plain
+int, or every entry a float, that array is cast to int64 or float64 in
+one step; an int outside int64 fails the cast.  Any other nesting, that
+failure included, is walked depth first before numpy builds it again, so
+the first boolean or integer outside int64 is the one named, and a list
+that holds itself is refused with RecursionError.  Arrays are copied once:
+np.array copies one given, and a cast to its own dtype copies nothing.
 
 The results of contract, mu and sum_tensors are built by one trusted path
 instead: their arrays are fresh int64 or float64 arrays of the right shape
@@ -49,7 +48,6 @@ overhead, which the plans keep small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import prod
 
 import numpy as np
@@ -147,53 +145,16 @@ def _check_entries(values) -> None:
     """Refuse what numpy would make another number without complaint when
     it builds an array from nested lists: a boolean beside numbers (counted
     as 1) and an integer outside int64 (made a float, or past 2**64 an
-    object array), naming the first such entry in row-major order.
-
-    Each level's lists and tuples are unpacked where they stand, so ragged
-    nesting keeps row-major order too.  A list that holds itself has no
-    last level: once more levels are unpacked than there are distinct
-    lists, it is refused with RecursionError, as a recursive walk was.
+    object array), naming the first such entry, depth first.  A list that
+    holds itself has no last level, and is refused with RecursionError.
     """
-    entries, types, _ = _leaves(values)
-    if types == {int}:
-        if -2**63 <= min(entries) and max(entries) < 2**63:
-            return
-    elif not any(issubclass(t, (int, np.bool_)) for t in types):
-        return
-    for v in entries:
-        if isinstance(v, (bool, np.bool_)):
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            _check_entries(v)
+        elif isinstance(v, (bool, np.bool_)):
             raise TypeError(f"tensor entry {v} is a boolean, not a number")
-        if isinstance(v, int) and not -2**63 <= v < 2**63:
+        elif isinstance(v, int) and not -2**63 <= v < 2**63:
             raise ValueError(f"tensor entry {v} is outside the int64 range")
-
-
-def _leaves(values) -> tuple[list, set, list[int] | None]:
-    """The entries of nested lists and tuples in row-major order, the set
-    of their types, and the nesting's shape, which is None unless the
-    lists at each level all hold lists or all hold entries, and are all
-    of one length.  See _check_entries."""
-    entries, depth, lists = values, 1, {id(values)}
-    shape = [len(values)]
-    while True:
-        types = set(map(type, entries))
-        nested = [t for t in types if issubclass(t, (list, tuple))]
-        if not nested:
-            return entries, types, shape
-        ragged = len(nested) < len(types)
-        if ragged:
-            shape = None
-            lists.update(id(v) for v in entries if isinstance(v, (list, tuple)))
-        else:
-            lists.update(map(id, entries))
-            if shape is not None:
-                lengths = set(map(len, entries))
-                shape = shape + [lengths.pop()] if len(lengths) == 1 else None
-        depth += 1
-        if depth > len(lists):
-            raise RecursionError("tensor entries hold a list inside itself")
-        if ragged:  # unpack the lists and tuples where they stand
-            entries = [v if isinstance(v, (list, tuple)) else (v,) for v in entries]
-        entries = list(chain.from_iterable(entries))
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -202,41 +163,43 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NonFiniteEntry(f"tensor entry {arr[~finite][0]} is not a finite number")
 
 
-def _int_array(values) -> np.ndarray | None:
-    """Nested lists as a read-only int64 array, built from the flat list of
-    entries, which numpy does about twice as fast as from the nesting; None
-    unless every entry is a plain int within int64 and the nesting is
-    regular.  Lists whose first entry is no plain int are not flattened."""
-    first = values
-    while isinstance(first, (list, tuple)) and first:
-        first = first[0]
-    if type(first) is not int:
-        return None
-    entries, types, shape = _leaves(values)
-    if types != {int} or shape is None:
-        return None
-    arr = np.array(entries)
-    if arr.dtype != np.int64:  # numpy's choice when an entry is outside int64
-        return None
-    arr = arr.reshape(shape)
-    arr.setflags(write=False)
-    return arr
+def _from_lists(values) -> np.ndarray:
+    """Nested lists and tuples as a new array, its entries checked.
+
+    numpy builds an object array first, finding the shape and keeping each
+    entry as given; all plain ints, or all floats, are cast from it in one
+    step.  Anything else, an int outside int64 among them, is walked by
+    _check_entries and then built by numpy from the nesting.  numpy unfolds
+    nested lists down to 64 dimensions, and a list that holds itself twice
+    would take it 2**64 steps, so a nesting whose first entries run 64
+    lists deep goes to the walk at once.
+    """
+    first, depth = values, 0
+    while isinstance(first, (list, tuple)) and first and depth < 64:
+        first, depth = first[0], depth + 1
+    if depth < 64:
+        try:
+            entries = np.array(values, dtype=object)
+            types = set(map(type, entries.ravel()))
+            if types == {int}:
+                return entries.astype(np.int64)
+            if types == {float}:
+                return entries.astype(np.float64)
+        except (OverflowError, ValueError):  # numpy's message comes below
+            pass
+    _check_entries(values)
+    return np.array(values)
 
 
 def _freeze(values) -> np.ndarray:
-    if isinstance(values, (list, tuple)):
-        arr = _int_array(values)
-        if arr is not None:
-            return arr
-        _check_entries(values)
-    arr = np.array(values)
+    arr = _from_lists(values) if isinstance(values, (list, tuple)) else np.array(values)
     if arr.dtype.kind in "iu":
         if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
             raise ValueError(f"tensor entry {arr.max()} is outside the int64 range")
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64, copy=False)
     elif arr.dtype.kind == "f":
         _check_finite(arr)
-        arr = arr.astype(np.float64)
+        arr = arr.astype(np.float64, copy=False)
     else:
         raise TypeError(f"tensor entries must be numeric, got dtype {arr.dtype}")
     arr.setflags(write=False)

@@ -723,6 +723,31 @@ def test_a_lexicon_that_is_not_an_object_exits_two(capsys, tmp_path, text):
     assert err == f"dsvs: {path}: top level must be an object\n"
 
 
+def test_a_lexicon_nested_too_deeply_to_decode_exits_two(capsys, tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    doc["senses"][0]["tensor"] = "deep"
+    path = tmp_path / "deep.lexicon"
+    deep = "[" * 100_000 + "1" + "]" * 100_000
+    path.write_text(json.dumps(doc).replace('"deep"', deep), encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
+    assert (code, out, err) == (2, "", f"dsvs: {path}: nested too deeply to decode\n")
+
+
+def test_a_tensor_nested_deeper_than_the_entry_walk_goes_exits_two(capsys, monkeypatch):
+    # json decodes 1,200 levels on Python 3.12 and 9,000 on 3.13, past the
+    # walk's 1,000 frames; a decoder that returns the document stands in
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    deep = 1
+    for _ in range(5_000):
+        deep = [deep]
+    doc["senses"][0]["tensor"] = deep
+    monkeypatch.setattr(dsvs.lexicon.json, "loads", lambda text: doc)
+    code, out, err = run(capsys, "parse", "--lexicon", BASE, "babies vomit")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dsvs: sense {doc['senses'][0]['id']!r}: bad tensor: ")
+    assert err.count("\n") == 1
+
+
 def test_a_repeated_basis_label_is_named_with_the_file(capsys, tmp_path):
     doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
     doc["spaces"]["S"] = ["⊤", "⊤"]

@@ -758,13 +758,14 @@ def test_tensor_entries_are_refused_as_the_recursive_walk_refused_them(drawn):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(entry_lists())
-def test_int_tensors_built_from_the_flat_entries_are_those_built_from_the_nesting(drawn):
-    # with the shape withheld, _freeze builds every array from the nesting
+def test_tensors_from_lists_are_those_numpy_builds_after_the_walk(drawn):
     values, sig = drawn
-    got = _outcome(lambda v: Tensor(sig, v), values)
-    leaves = dsvs.tensor._leaves
-    with mock.patch.object(dsvs.tensor, "_leaves", lambda v: (*leaves(v)[:2], None)):
-        assert _outcome(lambda v: Tensor(sig, v), values) == got
+
+    def walked(v):
+        oracles.check_entries_walk(v)
+        return Tensor(sig, np.array(v))
+
+    assert _outcome(lambda v: Tensor(sig, v), values) == _outcome(walked, values)
 
 
 # ---------------------------------------------------------------------------

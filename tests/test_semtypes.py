@@ -132,6 +132,20 @@ def test_a_refused_type_is_never_kept():
     assert len(semtypes_module._TYPES) == kept
 
 
+def test_a_type_is_refused_unless_built_from_types():
+    kept = len(semtypes_module._TYPES)
+    for res in ("t", "et", [1], 0, parse_type):
+        with pytest.raises(ValueError):
+            SemType(arg=E, res=res)
+    # an atom takes no argument or result, not even an empty one
+    for empty in (0, "", []):
+        with pytest.raises(ValueError):
+            SemType(atom="e", arg=empty)
+        with pytest.raises(ValueError):
+            SemType(atom="t", res=empty)
+    assert len(semtypes_module._TYPES) == kept
+
+
 def test_signature_and_slot_are_worked_out_once():
     for spelling in ("e", "t", "et", "eet"):
         ty = parse_type(spelling)

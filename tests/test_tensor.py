@@ -1,11 +1,16 @@
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsvs
 import oracles
 from dsvs import tensor as tensor_module
 from dsvs import (
@@ -163,14 +168,38 @@ def test_equal_tensors_hash_equal(one, other):
 
 @pytest.mark.parametrize("branches", [1, 2, 1000])
 def test_a_list_holding_itself_is_refused(branches):
-    # the entry check unpacks one level at a time; a list inside itself has
-    # no last level, and is refused once the levels outnumber the lists
+    # the entry check walks the nesting depth first; a list inside itself
+    # has no last level, so the walk runs out of stack
     looped = [1]
     looped += [looped] * branches
     with pytest.raises(RecursionError):
         Tensor(Signature((A,)), looped)
     with pytest.raises(RecursionError):
         Tensor(Signature((A, A)), [[1, 2], looped])
+
+
+def test_a_list_holding_itself_is_refused_without_hanging():
+    # in a child process, so that a build that never returns fails the test
+    code = """if True:
+        from dsvs import Signature, Space, Tensor
+        A = Space("A", ("a", "b"))
+        held = []
+        held.append(held)
+        row = [[1, 2]]
+        row[0][0] = row
+        twice = []
+        twice += [twice, twice]  # numpy would unfold it 2**64 times
+        for values in (held, row, [held, held], twice, [twice, 1]):
+            try:
+                Tensor(Signature((A,)), values)
+            except RecursionError:
+                continue
+            raise SystemExit("no RecursionError")
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(dsvs.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_shared_rows_are_not_a_loop():
