@@ -15,10 +15,12 @@ in both.
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
 word, no surviving parse), 2 for bad usage or malformed files.
 
-main may be called many times in one process.  Only the argument parser
-carries over between calls: every call loads its lexicon file anew and
-builds its own stand-ins, so a call's output depends only on its
-arguments and the lexicon file's bytes.
+main may be called many times in one process.  Every call loads its
+lexicon file anew and builds its own stand-ins.  What carries over
+between calls is the argument parser and caches no output depends on:
+interned semantic types, signature_of's memo and contraction plans.  So
+a call's output depends only on its arguments and the lexicon file's
+bytes.
 """
 
 from __future__ import annotations
@@ -356,7 +358,7 @@ def _cmd_lexicon_build(args) -> int:
             matrix = build_verb_matrix(excerpts, word, contexts)
             senses.append(Sense(f"{word}#v", word, parse_type("et"), matrix))
 
-    lexicon = Lexicon((w_space, s_space), smap, tuple(senses))
+    lexicon = Lexicon(smap, tuple(senses))
     save_lexicon(lexicon, args.out)
     print(f"wrote {args.out}: {len(senses)} senses over {len(excerpts)} excerpts")
     return 0

@@ -195,7 +195,9 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     comes back as TensorTuple(components, collapsed=root).  Component i
     is the open spine evaluated with open leaf k fixed to alternative k of
     i, read as a mixed-radix number over the open leaves in the order
-    evaluate asks for them, the first leaf least significant.  Components
+    evaluate asks for them, the first leaf least significant.  Every pass
+    over one tree asks for the same leaves in the same order, so a
+    component's pass is filled from its digits in that order.  Components
     are computed when read; len() computes none.
     """
     open_leaves: list = []
@@ -204,7 +206,7 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
         sig = signature_of(node.sem_type, lexicon.space_map)
         value = underspec_tensor(sig, strategy, lexicon)
         if isinstance(value, TensorTuple):
-            open_leaves.append((node.node_id, value.components))
+            open_leaves.append(value.components)
             return value.collapse()
         return value
 
@@ -213,13 +215,14 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
         return root
 
     def component(i):
-        chosen = {}
-        for node_id, alternatives in open_leaves:
+        chosen = []
+        for alternatives in open_leaves:
             i, digit = divmod(i, len(alternatives))
-            chosen[node_id] = alternatives[digit]
-        return evaluate(tree, lambda node: chosen[node.node_id])
+            chosen.append(alternatives[digit])
+        fill = iter(chosen)
+        return evaluate(tree, lambda node: next(fill))
 
-    n = prod(len(alternatives) for _, alternatives in open_leaves)
+    n = prod(len(alternatives) for alternatives in open_leaves)
     return TensorTuple(_Lazy(n, component), collapsed=root)
 
 

@@ -16,10 +16,12 @@ A lexicon file is JSON:
       ]
     }
 
-Tensor entries nest outermost-first: an "et" sense is a list of rows, one
-per entity basis label, each row one entry per sentence basis label.  A
-sense of type "link" carries no tensor; it triggers adjunct-tree
-construction in the parser instead of decorating a node.
+The map names the entity and the sentence space, which must differ in
+name; any other declared space is checked but not kept.  Tensor entries
+nest outermost-first: an "et" sense is a list of rows, one per entity
+basis label, each row one entry per sentence basis label.  A sense of
+type "link" carries no tensor; it triggers adjunct-tree construction in
+the parser instead of decorating a node.
 
 Corpus text is plain UTF-8.  Excerpts are separated by blank lines; tokens
 are whitespace-split, lowercased, and stripped of leading and trailing
@@ -205,35 +207,47 @@ class Sense:
         return self.sem_type is None
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """An ordered collection of senses over a fixed pair of spaces.
+def _check_space_map(smap: SpaceMap) -> None:
+    """Refuse a space map that cannot be scored, with ValidationError.
 
     The sentence space has two basis labels: evidence for, then against.
-    Tensor entries are counts or weights, so none may be negative.
+    The entity space has another name: a type's stand-in is keyed by its
+    signature, so e and t must never denote the same one.
+    """
+    sentence = smap.sentence
+    if sentence.dim != 2:
+        raise ValidationError(
+            f"sentence space {sentence.name!r} must have exactly 2 basis "
+            f"labels (evidence for, against), got {sentence.dim}"
+        )
+    if smap.entity.name == sentence.name:
+        raise ValidationError(f"entity and sentence spaces must have different "
+                              f"names, both are {sentence.name!r}")
+
+
+@dataclass(frozen=True)
+class Lexicon:
+    """An ordered collection of senses over a space map's two spaces.
+
+    The sentence space has two basis labels, evidence for then against,
+    and the entity space has another name.  Tensor entries are counts or
+    weights, so none may be negative.
 
     stand_ins is derived data, not part of the lexicon's value: the
     interpreter fills it lazily with one stand-in per (signature,
     strategy), which is sound because a lexicon never changes.
     """
 
-    spaces: tuple[Space, ...]
     space_map: SpaceMap
     senses: tuple[Sense, ...]
     _by_surface: dict = field(init=False, repr=False, compare=False)
     stand_ins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "spaces", tuple(self.spaces))
         object.__setattr__(self, "senses", tuple(self.senses))
         if not self.senses:
             raise ValidationError("a lexicon must declare at least one sense")
-        sentence = self.space_map.sentence
-        if sentence.dim != 2:
-            raise ValidationError(
-                f"sentence space {sentence.name!r} must have exactly 2 basis "
-                f"labels (evidence for, against), got {sentence.dim}"
-            )
+        _check_space_map(self.space_map)
         seen = set()
         signatures = {}  # each distinct type's signature, resolved once
         # one test over every entry; each sense's own only if it fails
@@ -328,7 +342,10 @@ def load_lexicon(path) -> Lexicon:
     well-formed files that break a consistency rule (duplicate sense ids,
     tensors that do not fit their type, tensor entries that are negative,
     booleans, non-finite or integers outside int64, a sentence space not
-    of 2 labels) raise ValidationError naming the offending sense or space.
+    of 2 labels or an entity space of the same name) raise
+    ValidationError naming the offending sense or space.  The map is
+    checked before any sense is read.  Every declared space is checked;
+    the lexicon keeps the two the map names.
     """
     p = Path(path)
     text = read_text(p, "lexicon")
@@ -348,19 +365,18 @@ def load_lexicon(path) -> Lexicon:
     spaces_obj = doc.get("spaces")
     if not isinstance(spaces_obj, dict) or not spaces_obj:
         raise ParseError(f"{p}: 'spaces' must be a non-empty object")
-    spaces = []
+    by_name = {}
     for name, basis in spaces_obj.items():
         if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
             raise ParseError(f"{p}: space {name!r}: basis must be a list of strings")
         try:
-            spaces.append(Space(name, tuple(basis)))
+            by_name[name] = Space(name, tuple(basis))
         except ValueError as e:
             raise ValidationError(f"{p}: {e}")
 
     map_obj = doc.get("map")
     if not isinstance(map_obj, dict):
         raise ParseError(f"{p}: 'map' must be an object")
-    by_name = {sp.name: sp for sp in spaces}
     try:
         smap = SpaceMap(entity=by_name[map_obj["entity"]], sentence=by_name[map_obj["sentence"]])
     except KeyError as e:
@@ -369,20 +385,24 @@ def load_lexicon(path) -> Lexicon:
     except TypeError:  # a name that cannot be a key, such as a list
         raise ParseError(f"{p}: 'map' must name each space by a string, "
                          f"got {map_obj!r}")
+    _check_space_map(smap)
 
     senses_obj = doc.get("senses")
     if not isinstance(senses_obj, list):
         raise ParseError(f"{p}: 'senses' must be an array")
     resolved: dict = {}
     senses = [_parse_sense(o, i, smap, resolved) for i, o in enumerate(senses_obj)]
-    return Lexicon(tuple(spaces), smap, tuple(senses))
+    return Lexicon(smap, tuple(senses))
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write a lexicon back out; load_lexicon(save) reproduces it exactly."""
+    """Write a lexicon back out; load_lexicon(save) reproduces it exactly.
+
+    "spaces" holds the space map's two spaces, entity first.
+    """
     doc = {
         "format": FORMAT_TAG,
-        "spaces": {sp.name: list(sp.basis) for sp in lexicon.spaces},
+        "spaces": {sp.name: list(sp.basis) for sp in lexicon.space_map},
         "map": {
             "entity": lexicon.space_map.entity.name,
             "sentence": lexicon.space_map.sentence.name,

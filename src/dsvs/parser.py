@@ -58,9 +58,9 @@ class Node(NamedTuple):
     its functor's formula contracted against its argument's, which the
     formula is folded from (see saturate).  The product follows from the
     daughters' formulae, so comparing it changes no comparison of trees.
+    A node's id is its index in Tree.nodes; edges hold such indices.
     """
 
-    node_id: int
     sem_type: SemType
     formula: Tensor | None = None
     argument: int | None = None
@@ -84,7 +84,7 @@ class Node(NamedTuple):
 
 @dataclass(frozen=True)
 class Tree:
-    """An immutable tree; node ids index straight into the node tuple."""
+    """An immutable tree; a node's id is its index in the node tuple."""
 
     nodes: tuple[Node, ...]
     pointer: int
@@ -94,9 +94,9 @@ class Tree:
     def pointed(self) -> Node:
         return self.nodes[self.pointer]
 
-    def with_node(self, node: Node) -> "Tree":
+    def with_node(self, i: int, node: Node) -> "Tree":
         nodes = list(self.nodes)
-        nodes[node.node_id] = node
+        nodes[i] = node
         return Tree(tuple(nodes), self.pointer)
 
     def with_pointer(self, i: int) -> "Tree":
@@ -113,10 +113,11 @@ class Tree:
         whose internal formulae are still to be computed already has the
         flags it will have once they are.
         """
-        flags = [n.formula is None and n.is_leaf for n in self.nodes]
-        for n in reversed(self.nodes):
-            if flags[n.node_id] and n.parent is not None:
-                flags[n.parent] = True
+        nodes = self.nodes
+        flags = [n.formula is None and n.is_leaf for n in nodes]
+        for i in range(len(nodes) - 1, -1, -1):
+            if flags[i] and nodes[i].parent is not None:
+                flags[nodes[i].parent] = True
         return tuple(flags)
 
     def is_complete(self) -> bool:
@@ -126,7 +127,7 @@ class Tree:
 
 def axiom() -> Tree:
     """The starting tree: one pointed node requiring a proposition."""
-    return Tree((Node(0, T),), pointer=0)
+    return Tree((Node(T),), pointer=0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +195,9 @@ def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
     base = len(tree.nodes)
     nodes = list(tree.nodes)
     m = nodes[at]
-    nodes[at] = Node(at, m.sem_type, m.formula, base, base + 1, m.link, m.parent)
-    nodes.append(Node(base, E, argument, parent=at))
-    nodes.append(Node(base + 1, *functor, parent=at))
+    nodes[at] = Node(m.sem_type, m.formula, base, base + 1, m.link, m.parent)
+    nodes.append(Node(E, argument, parent=at))
+    nodes.append(Node(*functor, parent=at))
     return Tree(tuple(nodes), pointer=base)
 
 
@@ -208,7 +209,7 @@ def _predict(tree: Tree) -> Tree:
     the axiom only."""
     p = tree.pointed
     if p.requirement and p.sem_type is T and p.is_leaf:
-        return _sprout(tree, p.node_id, None, (ET, None))
+        return _sprout(tree, tree.pointer, None, (ET, None))
     return tree
 
 
@@ -232,15 +233,15 @@ def saturate(tree: Tree) -> Tree:
         return _predict(tree)
     nodes, flags = list(tree.nodes), tree.open
     i, changed = tree.pointer, True
-    while nodes[i].parent is not None:
-        n = nodes[nodes[i].parent]
+    while (m := nodes[i].parent) is not None:
+        n = nodes[m]
         p = (_product(nodes, n, nodes[n.functor].formula, nodes[n.argument].formula)
              if changed and n.link != i else n.product)
         changed = p is not None
         if changed:
-            nodes[n.node_id] = Node(n.node_id, n.sem_type, _fold(nodes, flags, n, p), n.argument,
-                                    n.functor, n.link, n.parent, p if n.sem_type is T else None)
-        i = n.node_id
+            nodes[m] = Node(n.sem_type, _fold(nodes, flags, n, p), n.argument, n.functor,
+                            n.link, n.parent, p if n.sem_type is T else None)
+        i = m
     saturated = Tree(tuple(nodes), tree.pointer)
     saturated.__dict__["open"] = flags
     return saturated
@@ -258,13 +259,13 @@ def canonical_view(tree: Tree) -> Tree:
     Traces display this form.
     """
     t = _predict(tree)
-    n = t.pointed
-    while n.complete and n.parent is not None:
-        n = t.nodes[n.parent]
-    while not (n.requirement and n.is_leaf) and t.open[n.node_id]:
-        n = t.nodes[next(c for c in (n.argument, n.functor, n.link)
-                         if c is not None and t.open[c])]
-    return t.with_pointer(n.node_id)
+    nodes, i = t.nodes, t.pointer
+    while (n := nodes[i]).complete and n.parent is not None:
+        i = n.parent
+    while not (n.requirement and n.is_leaf) and t.open[i]:
+        i = next(c for c in (n.argument, n.functor, n.link) if c is not None and t.open[c])
+        n = nodes[i]
+    return t.with_pointer(i)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +309,12 @@ def apply_link(tree: Tree) -> Tree | None:
     holds the pointer, its functor daughter awaits the predicate.  No
     adjunct is ever a bare proposition requirement.
     """
-    p = tree.pointed
+    at, p = tree.pointer, tree.pointed
     if not (p.sem_type is E and p.complete and p.link is None):
         return None
     base = len(tree.nodes)
-    hung = tree.with_node(
-        Node(p.node_id, p.sem_type, p.formula, p.argument, p.functor, base, p.parent))
-    linked = Tree(hung.nodes + (Node(base, T, parent=p.node_id),), base)
+    hung = tree.with_node(at, Node(p.sem_type, p.formula, p.argument, p.functor, base, p.parent))
+    linked = Tree(hung.nodes + (Node(T, parent=at),), base)
     return _sprout(linked, base, p.formula, (ET, None))
 
 
@@ -331,17 +331,17 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
     if sense.is_link:
         return apply_link(tree)
 
-    p = tree.pointed
+    at, p = tree.pointer, tree.pointed
     if not (p.requirement and p.is_leaf):
         return None
     ty = sense.sem_type
 
     if ty is p.sem_type:
         return tree.with_node(
-            Node(p.node_id, p.sem_type, sense.tensor, p.argument, p.functor, p.link, p.parent))
+            at, Node(p.sem_type, sense.tensor, p.argument, p.functor, p.link, p.parent))
 
     if ty.is_function and ty.res is p.sem_type and p.sem_type.is_function:
-        return _sprout(tree, p.node_id, None, (ty, sense.tensor))
+        return _sprout(tree, at, None, (ty, sense.tensor))
 
     return None
 

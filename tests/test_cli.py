@@ -700,10 +700,13 @@ def _set(key, value):
     (lambda doc: doc["spaces"].__setitem__("W", "infant"),
      "space 'W': basis must be a list of strings"),
     (_set("map", ["W", "S"]), "'map' must be an object"),
+    # the space map is checked before any sense's tensor is read
+    (lambda doc: doc["spaces"].__setitem__("S", ["⊤", "⊥", "x"]),
+     "sentence space 'S' must have exactly 2 basis labels (evidence for, against), got 3"),
 ], ids=["sense-not-object", "senses-not-array", "id-not-string", "word-not-string",
         "type-not-string", "gloss-not-string", "forms-not-list", "forms-not-strings",
         "tensor-missing", "spaces-empty", "spaces-not-object", "basis-not-list",
-        "map-not-object"])
+        "map-not-object", "three-label-sentence-space"])
 def test_a_malformed_lexicon_document_exits_two_naming_the_fault(capsys, tmp_path, edit, message):
     doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
     edit(doc)
@@ -712,6 +715,31 @@ def test_a_malformed_lexicon_document_exits_two_naming_the_fault(capsys, tmp_pat
     code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
     assert (code, out) == (2, "")
     assert err.startswith("dsvs: ") and err.count("\n") == 1 and message in err
+
+
+SHARED_SPACE = {
+    "format": "dsvs-lexicon/1",
+    "spaces": {"S": ["y", "n"]},
+    "map": {"entity": "S", "sentence": "S"},
+    "senses": [
+        {"id": "bob#n", "word": "bob", "type": "e", "tensor": [9, 1]},
+        {"id": "ann#n", "word": "ann", "type": "e", "tensor": [1, 1]},
+        {"id": "runs#v", "word": "runs", "type": "et", "tensor": [[1, 0], [2, 7]]},
+        {"id": "sees#v", "word": "sees", "type": "eet",
+         "tensor": [[[1, 2], [3, 1]], [[0, 5], [2, 2]]]},
+    ],
+}
+
+
+@pytest.mark.parametrize("words", ["", "bob sees"])
+def test_one_space_mapped_as_entity_and_sentence_exits_two(capsys, tmp_path, words):
+    # e and t would denote one signature, and their stand-ins would merge
+    # nouns with verb saturations: scores that bench/exact.py does not give
+    path = tmp_path / "shared.lexicon"
+    path.write_text(json.dumps(SHARED_SPACE), encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), words)
+    assert (code, out) == (2, "")
+    assert err == "dsvs: entity and sentence spaces must have different names, both are 'S'\n"
 
 
 @pytest.mark.parametrize("text", ["[]", '"lexicon"', "null"])

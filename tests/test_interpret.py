@@ -144,7 +144,7 @@ def _counted_lexicon(k):
             entries = [(7 * i + j) % 4 for j in range(size)]
             tensor = Tensor(Signature(sig), np.reshape(entries, [sp.dim for sp in sig]))
             senses.append(Sense(f"{kind}{i}", f"{kind}{i}", parse_type(kind), tensor))
-    return Lexicon((w, s), SpaceMap(entity=w, sentence=s), tuple(senses))
+    return Lexicon(SpaceMap(entity=w, sentence=s), tuple(senses))
 
 
 def test_sum_stand_ins_cost_one_contraction_per_function_signature(monkeypatch):
@@ -172,7 +172,7 @@ def test_sum_stand_ins_cost_one_contraction_per_function_signature(monkeypatch):
 def test_functions_without_entities_have_no_inhabitants():
     w, s = Space("W", ("x", "y")), Space("S", (TOP, BOTTOM))
     verb = Sense("v#v", "v", parse_type("et"), Tensor(Signature((w, s)), [[1, 2], [3, 4]]))
-    lex = Lexicon((w, s), SpaceMap(entity=w, sentence=s), (verb,))
+    lex = Lexicon(SpaceMap(entity=w, sentence=s), (verb,))
     sig = Signature((s,))
     assert len(known_inhabitants(sig, lex)) == 0 and list(known_inhabitants(sig, lex)) == []
     for strategy in ("sum", "direct_sum"):
@@ -381,7 +381,7 @@ def test_plausibility_refuses_a_total_that_overflows():
 def test_direct_sum_scores_equal_sum_scores_on_a_float_lexicon(traces_lex):
     # a direct_sum root is scored from collapsed stand-ins, so its float
     # arithmetic is the sum strategy's, step for step
-    lex = Lexicon(traces_lex.spaces, traces_lex.space_map, tuple(
+    lex = Lexicon(traces_lex.space_map, tuple(
         s if s.tensor is None
         else replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
         for s in traces_lex.senses
@@ -438,7 +438,7 @@ def test_disambiguate_is_stable_for_ties():
     twin2 = Sense("run#b", "run", parse_type("et"),
                   Tensor(Signature((w, s)), [[2, 2], [2, 2]]))
     pat = Sense("pat#n", "pat", parse_type("e"), Tensor(Signature((w,)), [1, 2]))
-    lex = Lexicon((w, s), smap, (pat, twin1, twin2))
+    lex = Lexicon(smap, (pat, twin1, twin2))
     st = parse_sequence(["pat", "run"], lex)
     ranked = disambiguate(st, lex)
     assert [c.senses[-1] for c, _ in ranked] == ["run#a", "run#b"]

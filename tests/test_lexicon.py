@@ -163,12 +163,12 @@ def test_sense_needs_type_and_tensor_together():
 def test_lexicon_validation():
     a = noun("a#n", "a", [1, 2])
     with pytest.raises(ValidationError):
-        Lexicon((W, S), SMAP, ())
+        Lexicon(SMAP, ())
     with pytest.raises(ValidationError):
-        Lexicon((W, S), SMAP, (a, noun("a#n", "b", [3, 4])))
+        Lexicon(SMAP, (a, noun("a#n", "b", [3, 4])))
     bad = Sense("v#v", "v", parse_type("et"), Tensor(Signature((W,)), [1, 2]))
     with pytest.raises(ValidationError) as err:
-        Lexicon((W, S), SMAP, (a, bad))
+        Lexicon(SMAP, (a, bad))
     assert "v#v" in str(err.value)
 
 
@@ -179,14 +179,14 @@ def test_lexicon_validation():
 def test_lexicon_refuses_a_formula_that_is_not_a_tensor(formula):
     bad = Sense("v#v", "v", parse_type("et"), formula)
     with pytest.raises(ValidationError) as err:
-        Lexicon((W, S), SMAP, (noun("a#n", "a", [1, 2]), bad))
+        Lexicon(SMAP, (noun("a#n", "a", [1, 2]), bad))
     assert "v#v" in str(err.value) and type(formula).__name__ in str(err.value)
 
 
 def test_lexicon_refuses_negative_entries():
     bad = noun("b#n", "b", [-34, 10])
     with pytest.raises(ValidationError) as err:
-        Lexicon((W, S), SMAP, (noun("a#n", "a", [1, 2]), bad))
+        Lexicon(SMAP, (noun("a#n", "a", [1, 2]), bad))
     assert "b#n" in str(err.value) and "-34" in str(err.value)
 
 
@@ -194,8 +194,17 @@ def test_lexicon_requires_a_two_point_sentence_space():
     s3 = Space("S", (TOP, BOTTOM, "?"))
     v = Sense("v#v", "v", parse_type("et"), Tensor(Signature((W, s3)), [[1, 2, 3]] * 2))
     with pytest.raises(ValidationError) as err:
-        Lexicon((W, s3), SpaceMap(entity=W, sentence=s3), (v,))
+        Lexicon(SpaceMap(entity=W, sentence=s3), (v,))
     assert "'S'" in str(err.value)
+
+
+@pytest.mark.parametrize("entity", [S, Space("S", ("w1", "w2", "w3"))],
+                         ids=["one-space", "one-name"])
+def test_lexicon_refuses_entity_and_sentence_spaces_of_one_name(entity):
+    # e and t would denote one signature, so their stand-ins would merge
+    a = Sense("a#n", "a", parse_type("e"), Tensor(Signature((entity,)), [1] * entity.dim))
+    with pytest.raises(ValidationError, match="different names, both are 'S'"):
+        Lexicon(SpaceMap(entity=entity, sentence=S), (a,))
 
 
 def test_lookup_covers_word_and_forms_in_declaration_order(split_lex):
@@ -235,9 +244,13 @@ def test_fixture_path_refuses_an_unknown_name(name):
 
 
 def test_save_then_load_reproduces_everything(tmp_path, base_lex, split_lex, traces_lex):
-    for lex in (base_lex, split_lex, traces_lex):
+    # a space the map does not name is checked on load, then dropped
+    extra = _minimal_doc()
+    extra["spaces"] = {"S": [TOP, BOTTOM], "X": ["x1"], "W": ["w1", "w2"]}
+    for lex in (base_lex, split_lex, traces_lex, load_lexicon(_write(tmp_path, extra))):
         out = tmp_path / "roundtrip.lexicon"
         save_lexicon(lex, out)
+        assert list(json.loads(out.read_text(encoding="utf-8"))["spaces"]) == ["W", "S"]
         again = load_lexicon(out)
         assert again == lex
         for s in again.senses:
@@ -343,6 +356,13 @@ def test_load_rejects_map_to_undeclared_space(tmp_path):
     doc = _minimal_doc()
     doc["map"]["entity"] = "Q"
     with pytest.raises(ParseError):
+        load_lexicon(_write(tmp_path, doc))
+
+
+def test_load_rejects_one_space_mapped_as_entity_and_sentence(tmp_path):
+    doc = _minimal_doc()
+    doc["map"]["entity"] = "S"
+    with pytest.raises(ValidationError, match="different names"):
         load_lexicon(_write(tmp_path, doc))
 
 

@@ -174,7 +174,7 @@ def test_a_clause_folds_its_adjuncts_subject_first_on_floats(traces_lex):
     # float products depend on their order: the root is its product folded
     # with the subject's adjunct, then the object's, and the other order
     # gives other bits on this data, so a swapped fold cannot pass
-    lex = Lexicon(traces_lex.spaces, traces_lex.space_map, tuple(
+    lex = Lexicon(traces_lex.space_map, tuple(
         s if s.tensor is None
         else replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
         for s in traces_lex.senses
@@ -395,7 +395,7 @@ def test_apply_link_structure(traces_lex):
     copy = linked.nodes[adjunct_root.argument]
     assert copy.formula == host.formula
     assert linked.nodes[adjunct_root.functor].sem_type == ET
-    assert linked.pointer == copy.node_id
+    assert linked.pointer == adjunct_root.argument
 
 
 @pytest.mark.parametrize("lexname", ["traces", "base", "split"])
@@ -622,8 +622,7 @@ def test_words_only_ever_extend_trees(sentence, lexname, traces_lex, base_lex, s
             parent = _parent_of(cand, st)
             old_t, new_t = saturate(parent.tree), cand.tree
             assert len(new_t.nodes) >= len(old_t.nodes)
-            for old_node in old_t.nodes:
-                new_node = new_t.nodes[old_node.node_id]
+            for old_node, new_node in zip(old_t.nodes, new_t.nodes):
                 assert new_node.sem_type == old_node.sem_type
                 if old_node.formula is not None:
                     assert new_node.formula == old_node.formula

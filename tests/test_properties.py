@@ -332,7 +332,7 @@ def random_lexicons(draw, high=5):
                 f"{kind}{k}", draw(st.sampled_from("pqrs")), parse_type(kind),
                 Tensor(sig, np.reshape(entries, sig.dims)),
             ))
-    lex = Lexicon((w, s), SpaceMap(entity=w, sentence=s), tuple(senses))
+    lex = Lexicon(SpaceMap(entity=w, sentence=s), tuple(senses))
     vocabulary = sorted({x.word for x in senses})
     return lex, draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6))
 
