@@ -10,7 +10,10 @@ Strategies: unit, sum (default), direct_sum.  The targets file for lexicon
 build lists one entry per line, "word kind" with kind e (entity vector from
 co-occurrence counts) or et (one-place verb matrix); the contexts file
 lists the property words, one per line.  Lines starting with # are skipped
-in both.
+in both.  A listed word is read as corpus text is (lowercased, edge
+punctuation stripped), so "Milk," counts the corpus's "milk"; a line whose
+word holds no token ("--") and a word that repeats after that reading
+exit 2.
 
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
 word, no surviving parse), 2 for bad usage or malformed files.
@@ -288,66 +291,60 @@ def _cmd_expect(args) -> int:
     return 0
 
 
-def _read_word_lines(path, what):
-    out = []
-    for lineno, raw in enumerate(read_text(path, what).split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line.split()))
-    return out
+def _read_word_list(path, targets: bool) -> list:
+    """The entries of a contexts file (one word a line) or, if targets, of
+    a targets file ("word kind" a line, kind e or et), in file order:
+    words, or (word, kind) pairs.
+
+    Blank lines and lines starting with # are skipped.  A listed word is
+    read as corpus text is, through tokenize, and must come out as one
+    token.  A line is checked for its shape, then its kind, then for
+    repeating an earlier entry; a bad line or a file that lists nothing
+    raises ParseError naming the file.
+    """
+    first_line = {}  # entry -> the line that listed it
+    text = read_text(path, "targets file" if targets else "contexts file")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        word = tokenize(fields[0])
+        if len(fields) != (2 if targets else 1) or len(word) != 1:
+            shape = "'word kind'" if targets else "one word"
+            raise ParseError(f"{path}:{lineno}: expected {shape} per line")
+        entry, label = word[0], repr(word[0])
+        if targets:
+            kind = fields[1]
+            if kind not in ("e", "et"):
+                raise ParseError(
+                    f"{path}:{lineno}: kind must be e or et, got {kind!r}"
+                    + (": two-place tensors cannot be counted from a plain corpus"
+                       if kind == "eet" else "")
+                )
+            entry, label = (entry, kind), f"'{entry} {kind}'"
+        if entry in first_line:
+            raise ParseError(f"{path}:{lineno}: {label} repeats line {first_line[entry]}")
+        first_line[entry] = lineno
+    if not first_line:
+        raise ParseError(f"{path}: lists no {'target' if targets else 'context word'}")
+    return list(first_line)
 
 
 def _cmd_lexicon_build(args) -> int:
     excerpts = read_corpus(args.corpus)
     if not excerpts:
         raise ParseError(f"{args.corpus}: holds no excerpt")
-    first_line = {}  # context word -> the line that listed it
-    for lineno, fields in _read_word_lines(args.contexts, "contexts file"):
-        if len(fields) != 1:
-            raise ParseError(
-                f"{args.contexts}:{lineno}: expected one word per line"
-            )
-        word = fields[0].lower()
-        if word in first_line:
-            raise ParseError(
-                f"{args.contexts}:{lineno}: {word!r} repeats line {first_line[word]}"
-            )
-        first_line[word] = lineno
-    if not first_line:
-        raise ParseError(f"{args.contexts}: lists no context word")
-    contexts = list(first_line)
-
-    targets = {}  # (word, kind) -> the line that listed it
-    for lineno, fields in _read_word_lines(args.targets, "targets file"):
-        if len(fields) != 2:
-            raise ParseError(
-                f"{args.targets}:{lineno}: expected 'word kind' per line"
-            )
-        word, kind = fields[0].lower(), fields[1]
-        if kind not in ("e", "et"):
-            raise ParseError(
-                f"{args.targets}:{lineno}: kind must be e or et, got {kind!r}"
-                + (": two-place tensors cannot be counted from a plain corpus"
-                   if kind == "eet" else "")
-            )
-        if (word, kind) in targets:
-            raise ParseError(
-                f"{args.targets}:{lineno}: '{word} {kind}' repeats line {targets[word, kind]}"
-            )
-        targets[word, kind] = lineno
-    if not targets:
-        raise ParseError(f"{args.targets}: lists no target")
+    contexts = _read_word_list(args.contexts, targets=False)
+    targets = _read_word_list(args.targets, targets=True)
 
     w_space = Space("W", tuple(contexts))
-    s_space = Space("S", (TOP, BOTTOM))
-    smap = SpaceMap(entity=w_space, sentence=s_space)
+    smap = SpaceMap(entity=w_space, sentence=Space("S", (TOP, BOTTOM)))
 
     noun_words = [w for w, kind in targets if kind == "e"]
     noun_rows = {}
     if noun_words:
         counts = build_cooccurrence(excerpts, noun_words, contexts)
-        for i, w in enumerate(noun_words):
-            noun_rows[w] = counts.array[i]
+        noun_rows = dict(zip(noun_words, counts.array))
 
     senses = []
     for word, kind in targets:

@@ -151,6 +151,11 @@ class Inventory(_Lazy):
         return sum_tensors(parts)
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+
+
 def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
     """Stand-in value for a requirement of the given signature.
 
@@ -161,8 +166,7 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
     tensors are immutable, so sharing them is safe.  Failures are not
     remembered and raise again on every call.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    _check_strategy(strategy)
     key = (signature, strategy)
     value = lexicon.stand_ins.get(key)
     if value is not None:
@@ -198,8 +202,10 @@ def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):
     evaluate asks for them, the first leaf least significant.  Every pass
     over one tree asks for the same leaves in the same order, so a
     component's pass is filled from its digits in that order.  Components
-    are computed when read; len() computes none.
+    are computed when read; len() computes none.  An unknown strategy
+    raises ValueError, whether or not the tree has an open leaf.
     """
+    _check_strategy(strategy)
     open_leaves: list = []
 
     def stand_in(node):
@@ -244,8 +250,7 @@ class PlausibilityScore(NamedTuple):
                 f"plausibility needs a vector over a two-point space, got "
                 f"{vector.signature!r}"
             )
-        top = vector.array[0].item()
-        bottom = vector.array[1].item()
+        top, bottom = vector.tolist()
         total = top + bottom
         if abs(total) == inf:  # two finite floats can overflow; ints cannot
             raise NonFiniteEntry(f"plausibility total {top} + {bottom} is not a finite number")
@@ -296,8 +301,10 @@ def expect(state: ParseState, words, lexicon: Lexicon, strategy: str = "sum") ->
     Each word is tried sense by sense against every live candidate; a
     sense's score is the best plausibility among the parses it yields.
     Words or senses that nothing accepts come back with score None, after
-    all scored entries.
+    all scored entries.  An unknown strategy raises ValueError, whether
+    or not any word is scored.
     """
+    _check_strategy(strategy)
     scored: list[ExpectEntry] = []
     dead: list[ExpectEntry] = []
     for word in words:

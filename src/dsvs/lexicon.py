@@ -275,11 +275,14 @@ class Lexicon:
         index: dict[str, list[Sense]] = {}
         for s in self.senses:
             for surface in (s.word, *s.forms):
-                index.setdefault(surface, []).append(s)
+                listed = index.setdefault(surface, [])
+                if not listed or listed[-1] is not s:  # once, if s lists it twice
+                    listed.append(s)
         object.__setattr__(self, "_by_surface", index)
 
     def lookup(self, surface: str) -> list[Sense]:
-        """All senses reachable from a surface token, declaration order."""
+        """All senses reachable from a surface token, each once, in
+        declaration order."""
         return list(self._by_surface.get(surface, []))
 
     def sense(self, sense_id: str) -> Sense:

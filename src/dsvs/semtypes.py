@@ -21,7 +21,10 @@ composed when the predicate is reduced all the way down to t.
 
 Each type is one object, so types compare and hash by identity.
 signature_of and application_slot work out what a type denotes once and
-keep the answer; callers need no memo of their own.
+keep the answer.  A kept signature_of answer still costs a hash of the
+space map on every call, so a caller that asks for many types at once
+keeps its own memo: the loader and Lexicon keep one per load, keyed by
+type spelling or type.
 """
 
 from __future__ import annotations

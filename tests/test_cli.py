@@ -441,6 +441,61 @@ def build_refused(capsys, files, named):
     assert err.startswith("dsvs: ") and err.count("\n") == 1 and str(named) in err
 
 
+# the corpus of the README's and CI's build example
+BABY_CORPUS = ("The baby drank milk, then the baby did vomit.\n\n"
+               "The baby will vomit milk.\n\nFootballers vomit after a goal.\n")
+
+
+def build_baby(capsys, tmp_path, name, targets, contexts):
+    """lexicon build over BABY_CORPUS into tmp_path/name.lexicon; returns
+    (exit code, stdout, stderr, output path)."""
+    (tmp_path / name).mkdir()
+    files = build_inputs(tmp_path / name)
+    (files["--corpus"] / "text.txt").write_text(BABY_CORPUS, encoding="utf-8")
+    files["--targets"].write_text(targets, encoding="utf-8")
+    files["--contexts"].write_text(contexts, encoding="utf-8")
+    argv = [str(x) for option, path in files.items() for x in (option, path)]
+    return (*run(capsys, "lexicon", "build", *argv), files["--out"])
+
+
+def test_lexicon_build_reads_listed_words_as_it_reads_the_corpus(capsys, tmp_path):
+    # a listed word goes through tokenize, so "Milk," counts the corpus's milk
+    built = {}
+    for name, targets, contexts in [
+        ("clean", "baby e\nvomit et\n", "milk\ngoal\n"),
+        ("written", "# word kind\nBaby e\n\n  vomit.  et\n", "Milk,\n# x\ngoal.\n"),
+    ]:
+        code, out, err, lexicon = build_baby(capsys, tmp_path, name, targets, contexts)
+        assert (code, err) == (0, "") and "2 senses over 3 excerpts" in out
+        built[name] = lexicon.read_bytes()
+        code, out, err = run(capsys, "parse", "--lexicon", str(lexicon), "Baby vomit.")
+        assert (code, err) == (0, "")
+        assert out.endswith("root S = (4, 2)  ratio = 0.6667\n")
+    assert built["written"] == built["clean"]
+
+
+@pytest.mark.parametrize("option, text, line, message", [
+    ("--contexts", "milk\n--\n", 2, "expected one word per line"),
+    ("--contexts", "…\ngoal\n", 1, "expected one word per line"),
+    ("--targets", "baby e\n-- et\n", 2, "expected 'word kind' per line"),
+    # the shape is checked before the kind
+    ("--targets", "\"\" eet\n", 1, "expected 'word kind' per line"),
+    ("--contexts", "milk\nMilk,\n", 2, "'milk' repeats line 1"),
+    ("--targets", "# t\nbaby e\nvomit et\nBaby. e\n", 4, "'baby e' repeats line 2"),
+], ids=["dashes-context", "ellipsis-context", "dashes-target", "quotes-before-kind",
+        "repeated-context", "repeated-target"])
+def test_lexicon_build_refuses_a_listed_word_that_is_no_token_or_repeats(
+    capsys, tmp_path, option, text, line, message
+):
+    files = build_inputs(tmp_path)
+    files[option].write_text(text, encoding="utf-8")
+    argv = [str(x) for opt, path in files.items() for x in (opt, path)]
+    code, out, err = run(capsys, "lexicon", "build", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: {files[option]}:{line}: {message}\n"
+    assert not files["--out"].exists()
+
+
 def test_non_utf8_lexicon_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.lexicon"
     path.write_bytes(NOT_UTF8)
@@ -816,3 +871,21 @@ def test_lexicon_build_counts_a_single_corpus_file(capsys, tmp_path):
         assert (code, err) == (0, "") and "2 senses over 4 excerpts" in out
         built[corpus.name] = files["--out"].read_bytes()
     assert built["corpus"] == built["text.txt"]
+
+
+def test_a_sense_that_lists_a_surface_twice_is_tried_once(capsys, tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    baby = next(sense for sense in doc["senses"] if sense["id"] == "baby#n")
+    baby["forms"] = ["babies", "baby", "babies"]
+    twice = tmp_path / "twice.lexicon"
+    twice.write_text(json.dumps(doc), encoding="utf-8")
+    # one candidate, and one entry per candidate word, as without the repeat
+    for argv, lines in [(("disambiguate", "babies vomit"), 1),
+                        (("expect", "--after", "", "--candidates", "babies,baby"), 2)]:
+        got = run(capsys, argv[0], "--lexicon", str(twice), *argv[1:])
+        assert got == run(capsys, argv[0], "--lexicon", BASE, *argv[1:])
+        assert got[0] == 0 and got[1].count("baby#n") == lines
+    # the file's forms are kept as written
+    lexicon = load_lexicon(twice)
+    assert lexicon.sense("baby#n").forms == ("babies", "baby", "babies")
+    assert [s.sense_id for s in lexicon.lookup("babies")] == ["baby#n"]

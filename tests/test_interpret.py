@@ -102,6 +102,24 @@ def test_underspec_strategies(base_lex):
         underspec_tensor(sig, "bogus", base_lex)
 
 
+def test_an_unknown_strategy_is_refused_wherever_scoring_starts(base_lex):
+    # refused although the finished parse needs no stand-in
+    finished = parse_sequence(["babies", "vomit"], base_lex)
+    prefix = parse_sequence(["babies"], base_lex)
+    calls = [
+        lambda: compile_root(finished.candidates[0].tree, base_lex, "bogus"),
+        lambda: disambiguate(finished, base_lex, "bogus"),
+        lambda: expect(finished, ["who"], base_lex, "bogus"),
+        lambda: expect(prefix, [], base_lex, "bogus"),
+        lambda: disambiguate(prefix, base_lex, "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == (
+            "unknown strategy 'bogus', expected one of ('unit', 'sum', 'direct_sum')")
+
+
 def test_underspec_with_no_inhabitants(base_lex):
     w = base_lex.space_map.entity
     with pytest.raises(NoInhabitants):
