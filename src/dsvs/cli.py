@@ -21,9 +21,9 @@ word, no surviving parse), 2 for bad usage or malformed files.
 main may be called many times in one process.  Every call loads its
 lexicon file anew and builds its own stand-ins.  What carries over
 between calls is the argument parser and caches no output depends on:
-interned semantic types, signature_of's memo and contraction plans.  So
-a call's output depends only on its arguments and the lexicon file's
-bytes.
+interned semantic types, signature_of's memo and contraction plans, the
+last two of at most 1,024 entries each.  So a call's output depends only
+on its arguments and the lexicon file's bytes.
 """
 
 from __future__ import annotations

@@ -231,7 +231,8 @@ class Lexicon:
 
     The sentence space has two basis labels, evidence for then against,
     and the entity space has another name.  Tensor entries are counts or
-    weights, so none may be negative.
+    weights, so none may be negative.  Every surface, word or form, is a
+    token: tokenize reads it as exactly itself.
 
     stand_ins is derived data, not part of the lexicon's value: the
     interpreter fills it lazily with one stand-in per (signature,
@@ -250,6 +251,7 @@ class Lexicon:
         _check_space_map(self.space_map)
         seen = set()
         signatures = {}  # each distinct type's signature, resolved once
+        index: dict[str, list[Sense]] = {}
         # one test over every entry; each sense's own only if it fails
         arrays = [s.tensor.array.ravel() for s in self.senses if isinstance(s.tensor, Tensor)]
         negative = bool(arrays) and bool((np.concatenate(arrays) < 0).any())
@@ -257,6 +259,10 @@ class Lexicon:
             if s.sense_id in seen:
                 raise ValidationError(f"duplicate sense id {s.sense_id!r}")
             seen.add(s.sense_id)
+            for surface in (s.word, *s.forms):
+                listed = index.setdefault(surface, [])
+                if not listed or listed[-1] is not s:  # once, if s lists it twice
+                    listed.append(s)
             if s.tensor is None:
                 continue
             sig = signatures.get(s.sem_type)
@@ -272,12 +278,15 @@ class Lexicon:
             if negative and (s.tensor.array < 0).any():
                 raise ValidationError(f"sense {s.sense_id!r}: negative tensor "
                                       f"entry {s.tensor.array.min().item()}")
-        index: dict[str, list[Sense]] = {}
-        for s in self.senses:
-            for surface in (s.word, *s.forms):
-                listed = index.setdefault(surface, [])
-                if not listed or listed[-1] is not s:  # once, if s lists it twice
-                    listed.append(s)
+        # no sentence reaches a surface that tokenize does not read as
+        # itself; one call over the distinct surfaces settles a lexicon
+        # that passes
+        if tokenize(" ".join(index)) != list(index):
+            s, surface = next((s, w) for s in self.senses for w in (s.word, *s.forms)
+                              if tokenize(w) != [w])
+            read = " ".join(map(repr, tokenize(surface))) or "nothing"
+            raise ValidationError(f"sense {s.sense_id!r}: surface {surface!r} is not "
+                                  f"a token; a sentence reads it as {read}")
         object.__setattr__(self, "_by_surface", index)
 
     def lookup(self, surface: str) -> list[Sense]:
@@ -345,10 +354,10 @@ def load_lexicon(path) -> Lexicon:
     well-formed files that break a consistency rule (duplicate sense ids,
     tensors that do not fit their type, tensor entries that are negative,
     booleans, non-finite or integers outside int64, a sentence space not
-    of 2 labels or an entity space of the same name) raise
-    ValidationError naming the offending sense or space.  The map is
-    checked before any sense is read.  Every declared space is checked;
-    the lexicon keeps the two the map names.
+    of 2 labels or an entity space of the same name, a word or form that
+    is not a token) raise ValidationError naming the offending sense or
+    space.  The map is checked before any sense is read.  Every declared
+    space is checked; the lexicon keeps the two the map names.
     """
     p = Path(path)
     text = read_text(p, "lexicon")

@@ -19,19 +19,21 @@ so an n-place predicate is a tensor with n entity slots around a single
 sentence-space slot, the first entity slot belonging to the first argument
 composed when the predicate is reduced all the way down to t.
 
-Each type is one object, so types compare and hash by identity.
-signature_of and application_slot work out what a type denotes once and
-keep the answer.  A kept signature_of answer still costs a hash of the
-space map on every call, so a caller that asks for many types at once
-keeps its own memo: the loader and Lexicon keep one per load, keyed by
-type spelling or type.
+Each type is one object, so types compare and hash by identity; the
+module keeps every type built, and application_slot keeps each type's
+slot, for the life of the process.  signature_of keeps its answers for
+the 1,024 (type, space map) pairs most recently asked, so the spaces of
+a lexicon a process has done with are let go.  A kept signature_of
+answer still costs a hash of the space map on every call, so a caller
+that asks for many types at once keeps its own memo: the loader and
+Lexicon keep one per load, keyed by type spelling or type.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .tensor import Signature, Space, Tensor
@@ -122,6 +124,10 @@ def parse_type(text: str) -> SemType:
     return ty
 
 
+# signature_of answers kept, least recently used dropped first
+_MAX_SIGNATURES = 1024
+
+
 class SpaceMap(NamedTuple):
     """Assignment of vector spaces to the two atomic types."""
 
@@ -129,12 +135,13 @@ class SpaceMap(NamedTuple):
     sentence: Space
 
 
-@cache
+@lru_cache(maxsize=_MAX_SIGNATURES)
 def signature_of(ty: SemType, smap: SpaceMap) -> Signature:
     """Tensor signature denoted by a type under a space map.
 
     Total, since every SemType lies in the e...et family.  Worked out once
-    per type and space map; later calls return the same Signature.
+    per type and space map; later calls return the same Signature while
+    the pair is among the 1,024 most recently asked.
     """
     if ty is E:
         return Signature((smap.entity,))

@@ -28,10 +28,13 @@ operations is reported that way alone, not also as a numpy warning.
 
 contract plans each contraction once.  A plan is kept per (left signature,
 right signature, pairs), compared by value, so a reloaded lexicon reuses
-the plans of the first; it holds the result signature and the transposes
-and reshapes that lower the contraction to one np.dot, exactly as numpy's
-tensordot lowers it, so results are bit for bit those of tensordot.  Pairs
-are checked when a plan is made; an invalid pair list is never stored.
+the plans of the first.  At most 1,024 plans are kept: making one more
+drops them all, so a process that meets ever new spaces does not keep
+every one of them alive.  A plan holds the result signature and the
+transposes and reshapes that lower the contraction to one np.dot,
+exactly as numpy's tensordot lowers it, so results are bit for bit those
+of tensordot.  Pairs are checked when a plan is made; an invalid pair
+list is never stored.
 
 direct_sum, and a TensorTuple built without its collapsed sum, have no
 caller inside the package: interpret knows each sum before it builds a
@@ -346,7 +349,9 @@ def _apply(op, x: np.ndarray, y: np.ndarray):
     return op(x, y)
 
 
-# contraction plans by (left signature, right signature, pairs)
+# contraction plans by (left signature, right signature, pairs); all are
+# dropped when _MAX_PLANS are kept and one more is made
+_MAX_PLANS = 1024
 _PLANS: dict = {}
 
 
@@ -388,6 +393,8 @@ def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
         (paired, prod(db[k] for k in b_kept)),
         tuple(da[k] for k in a_kept) + tuple(db[k] for k in b_kept),
     )
+    if len(_PLANS) >= _MAX_PLANS:
+        _PLANS.clear()  # one atomic call: no two threads evict the same key
     _PLANS[sa, sb, tuple(zip(a_slots, b_slots))] = plan
     return plan
 

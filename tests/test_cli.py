@@ -889,3 +889,20 @@ def test_a_sense_that_lists_a_surface_twice_is_tried_once(capsys, tmp_path):
     lexicon = load_lexicon(twice)
     assert lexicon.sense("baby#n").forms == ("babies", "baby", "babies")
     assert [s.sense_id for s in lexicon.lookup("babies")] == ["baby#n"]
+
+
+@pytest.mark.parametrize("field", ["word", "forms"])
+@pytest.mark.parametrize("surface", ["Baby", "ice cream", "milk,", "--"])
+def test_a_surface_no_sentence_can_reach_exits_two(capsys, tmp_path, field, surface):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    baby = next(sense for sense in doc["senses"] if sense["id"] == "baby#n")
+    if field == "word":
+        baby["word"] = surface
+    else:
+        baby["forms"] = ["babies", surface]
+    path = tmp_path / "unreachable.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "parse", "--lexicon", str(path), "babies vomit")
+    assert code == 2 and out == ""
+    assert err.startswith("dsvs: ") and err.count("\n") == 1
+    assert "'baby#n'" in err and repr(surface) in err

@@ -236,6 +236,25 @@ def test_load_bundled_lexicons(base_lex, split_lex, traces_lex):
     assert len(traces_lex.senses) == 6
 
 
+@pytest.mark.parametrize("surface, read", [
+    ("Baby", "'baby'"), ("ice cream", "'ice' 'cream'"), ("milk,", "'milk'"), ("--", "nothing"),
+])
+def test_a_lexicon_refuses_a_surface_that_is_no_token(surface, read):
+    w = Space("W", ("w1", "w2"))
+    smap = SpaceMap(entity=w, sentence=Space("S", (TOP, BOTTOM)))
+    e = parse_type("e")
+    milk = Sense("milk#n", "milk", e, Tensor(Signature((w,)), [1, 2]))
+    late = Sense("late#n", "Late", e, Tensor(Signature((w,)), [5, 6]))
+    for baby in (Sense("baby#n", surface, e, Tensor(Signature((w,)), [3, 4])),
+                 Sense("baby#n", "baby", e, Tensor(Signature((w,)), [3, 4]),
+                       forms=("babies", surface))):
+        # the first such surface in declaration order is named
+        with pytest.raises(ValidationError) as err:
+            Lexicon(smap, (milk, baby, late))
+        assert str(err.value) == (f"sense 'baby#n': surface {surface!r} is not a token; "
+                                  f"a sentence reads it as {read}")
+
+
 @pytest.mark.parametrize("name", ["paper_s5", "lexicon", "paper_s4.json", ""])
 def test_fixture_path_refuses_an_unknown_name(name):
     with pytest.raises(FileNotFoundError, match="no bundled lexicon named"):

@@ -5,10 +5,18 @@ module; a sibling that imports it, or reads it off the module, would break
 silently.  The check reads src/dsvs/*.py with ast and flags three forms:
 `from .x import _y`, `from dsvs.x import _y`, and `x._y` where x names a
 sibling module bound by an import.
+
+`import dsvs.cli` also loads nothing a cli call never uses: a child
+interpreter, started without its site hooks, records what the import
+adds beyond numpy's own.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy
 
 import dsvs
 
@@ -82,3 +90,25 @@ def test_no_module_uses_a_sibling_module_private_name():
     siblings = {p.stem for p in files} | {p.parent.name for p in SRC.glob("*/__init__.py")}
     found = {p.name: private_uses(p.read_text(encoding="utf-8"), siblings) for p in files}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+# modules that importlib.resources brings in, none of which dsvs uses
+_UNUSED = ("importlib.resources", "tempfile", "shutil", "bz2", "lzma")
+
+
+def test_importing_the_cli_loads_no_unused_module():
+    # -S: no .pth file runs, so nothing the site hooks import is counted
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(SRC.parent)!r}, {str(Path(numpy.__file__).parent.parent)!r}]\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import dsvs.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "dsvs.cli" in added
+    assert [m for m in added if m in _UNUSED or m.startswith("importlib.resources.")] == []

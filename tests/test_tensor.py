@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from dsvs import (
     SignatureMismatch,
     SlotOutOfRange,
     Space,
+    SpaceMap,
     SpaceMismatch,
     Tensor,
     TensorTuple,
@@ -31,6 +34,8 @@ from dsvs import (
     load_lexicon,
     mu,
     parse_sequence,
+    parse_type,
+    signature_of,
     sum_tensors,
     unit_tensor,
 )
@@ -98,6 +103,27 @@ def test_a_reloaded_lexicon_finds_the_plans_of_the_first(monkeypatch):
     assert again.space_map.entity is not first.space_map.entity
     got = [compile_root(c.tree, again, "sum") for c in parse_sequence(words, again).candidates]
     assert got == want
+
+
+def test_the_process_wide_caches_let_old_spaces_go():
+    # 3,000 lexicon-like space maps, each asked for four signatures and
+    # used for one contraction; both caches keep at most 1,024 entries
+    alive = weakref.WeakSet()
+    s = Space("S", ("yes", "no"))
+    try:
+        for k in range(3000):
+            w = Space(f"W{k}", tuple(f"x{i}" for i in range(100)))
+            smap = SpaceMap(entity=w, sentence=s)
+            alive.add(w)
+            sig = {t: signature_of(parse_type(t), smap) for t in ("e", "t", "et", "eet")}
+            contract(Tensor(sig["et"], np.ones((100, 2), dtype=np.int64)),
+                     Tensor(sig["e"], np.ones(100, dtype=np.int64)), [(0, 0)])
+        del w, smap, sig
+        gc.collect()
+        assert 0 < len(alive) <= 1024
+    finally:
+        # later tests reuse plans they make themselves, not these
+        tensor_module._PLANS.clear()
 
 
 def test_tensor_shape_checked():
