@@ -24,7 +24,6 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .fixtures import fixture_path
 from .interpret import (
     STRATEGIES,
     ExpectEntry,
@@ -45,6 +44,7 @@ from .lexicon import (
     Sense,
     build_cooccurrence,
     build_verb_matrix,
+    fixture_path,
     load_lexicon,
     parse_excerpts,
     read_corpus,
@@ -73,7 +73,6 @@ from .semtypes import (
     SpaceMap,
     T,
     application_slot,
-    check_formula,
     fn,
     parse_type,
     signature_of,

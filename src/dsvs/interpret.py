@@ -164,13 +164,14 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
     enumerates the lexicon's (function, entity) pairs.  Built once per
     lexicon, signature and strategy, then served from lexicon.stand_ins;
     tensors are immutable, so sharing them is safe.  Failures are not
-    remembered and raise again on every call.
+    remembered and raise again on every call, so the strategy is checked
+    only when no stand-in is kept for it: an unknown one never is.
     """
-    _check_strategy(strategy)
     key = (signature, strategy)
     value = lexicon.stand_ins.get(key)
     if value is not None:
         return value
+    _check_strategy(strategy)
     if strategy == "unit":
         value = unit_tensor(signature)
     else:

@@ -23,6 +23,16 @@ basis label, each row one entry per sentence basis label.  A sense of
 type "link" carries no tensor; it triggers adjunct-tree construction in
 the parser instead of decorating a node.
 
+Three lexicons ship with the package, in its fixtures directory, and
+fixture_path finds each by name:
+
+    paper_s4       four nouns, three one-place verbs, one two-place verb,
+                   a relative pronoun; the worked-example counts over the
+                   infant/nappy/pitch/goal property space.
+    split_senses   same, but "dribble" split into a one-place leaking
+                   sense and a two-place ball-control sense.
+    traces         a tiny two-property lexicon used by the trace tests.
+
 Corpus text is plain UTF-8.  Excerpts are separated by blank lines; tokens
 are whitespace-split, lowercased, and stripped of leading and trailing
 punctuation.  Counting is excerpt-level throughout: a word either occurs in
@@ -155,20 +165,17 @@ def build_verb_matrix(
 
     Restricted to excerpts containing the verb: entry (p, top) counts those
     that also contain p, entry (p, bottom) those that do not.  Rows
-    therefore all sum to the number of excerpts containing the verb.  The
-    result lives over Space("W", properties) @ Space("S", (top, bottom)).
+    therefore all sum to the number of excerpts containing the verb: the
+    top column is build_cooccurrence's row for the verb, and the bottom
+    column that number less it.  The result lives over
+    Space("W", properties) @ Space("S", (top, bottom)).
     """
-    if not excerpts:
+    if not excerpts:  # before the space is built, so it is refused first
         raise EmptyCorpus("cannot count over zero excerpts")
     w_space = Space("W", tuple(properties))
-    s_space = Space("S", (TOP, BOTTOM))
-    counts = np.zeros((w_space.dim, 2), dtype=np.int64)
-    for ex in excerpts:
-        if verb in ex.tokens:
-            present = set(ex.tokens)
-            for i, p in enumerate(properties):
-                counts[i, 0 if p in present else 1] += 1
-    return Tensor(Signature((w_space, s_space)), counts)
+    top = build_cooccurrence(excerpts, [verb], properties).array[0]
+    bottom = sum(verb in ex.tokens for ex in excerpts) - top
+    return Tensor(Signature((w_space, Space("S", (TOP, BOTTOM)))), np.stack([top, bottom], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +192,7 @@ class Sense:
     matching signature.  Link senses (sem_type and tensor both None) carry
     no content of their own; they trigger adjunct-tree construction.
     Extra surface forms ("babies" for "baby") resolve to the same sense.
+    The id, word and forms are strings, and the gloss a string or None.
     """
 
     sense_id: str
@@ -201,6 +209,12 @@ class Sense:
                 f"sense {self.sense_id!r} must carry both a type and a tensor, "
                 f"or neither"
             )
+        if not (isinstance(self.sense_id, str) and isinstance(self.word, str)
+                and all(isinstance(f, str) for f in self.forms)):
+            raise ValidationError(f"sense {self.sense_id!r}: id, word and forms "
+                                  f"must be strings")
+        if self.gloss is not None and not isinstance(self.gloss, str):
+            raise ValidationError(f"sense {self.sense_id!r}: gloss must be a string")
 
     @property
     def is_link(self) -> bool:
@@ -303,6 +317,20 @@ class Lexicon:
 
 # ---------------------------------------------------------------------------
 # file format
+
+
+def fixture_path(name: str) -> Path:
+    """Filesystem path of a bundled lexicon, e.g. fixture_path("paper_s4").
+
+    The files sit in the fixtures directory beside this module, which is
+    read anew on each call.
+    """
+    if not name.endswith(".lexicon"):
+        name += ".lexicon"
+    p = Path(__file__).parent / "fixtures" / name
+    if not p.is_file():
+        raise FileNotFoundError(f"no bundled lexicon named {name!r}")
+    return p
 
 
 def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:

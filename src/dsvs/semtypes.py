@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple
 
-from .tensor import Signature, Space, Tensor
+from .tensor import Signature, Space
 
 
 _TYPES: dict = {}  # (atom, arg, res) -> the one SemType built from them
@@ -150,14 +150,6 @@ def signature_of(ty: SemType, smap: SpaceMap) -> Signature:
     if ty.res is T:
         return Signature((smap.entity, smap.sentence))
     return Signature(tuple(signature_of(ty.res, smap)) + (smap.entity,))
-
-
-def check_formula(ty: SemType, formula, smap: SpaceMap) -> bool:
-    """True when formula is a Tensor of the type's signature.
-
-    Anything else, a TensorTuple or a nested list included, is False.
-    """
-    return isinstance(formula, Tensor) and formula.signature == signature_of(ty, smap)
 
 
 @cache

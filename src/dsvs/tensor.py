@@ -36,10 +36,12 @@ exactly as numpy's tensordot lowers it, so results are bit for bit those
 of tensordot.  Pairs are checked when a plan is made; an invalid pair
 list is never stored.
 
-direct_sum, and a TensorTuple built without its collapsed sum, have no
-caller inside the package: interpret knows each sum before it builds a
-tuple.  Both stay as public API, the way to keep alternatives apart from
-outside, and bench/spans.py wraps tensor.direct_sum by name.
+A TensorTuple is always built with its sum, so it never adds up its
+components itself: interpret knows each sum before it builds a tuple, and
+direct_sum, the one place that adds a list of tensors up into a tuple,
+takes it with sum_tensors.  direct_sum has no caller inside the package;
+it stays as public API, the way to keep alternatives apart from outside,
+and bench/spans.py wraps tensor.direct_sum by name.
 
 All operations here are dense.  Contraction of tensors with n and m slots,
 k of them paired, costs on the order of the product of all involved
@@ -265,21 +267,17 @@ class TensorTuple:
     """A non-empty ordered tuple of tensors sharing one signature.
 
     Used when a value is kept as separate alternatives rather than being
-    collapsed into a single tensor.  Entrywise addition of the components
-    gives the collapsed form, computed on construction with sum_tensors.
-
-    A caller that already knows that sum may pass it as collapsed; the
-    components may then be any read-only sequence, lazy ones included, and
-    are taken on trust to sum to it.  interpret builds its direct_sum
-    stand-ins and roots this way.  Either way the value is immutable.
+    collapsed into a single tensor.  collapsed is the entrywise sum of the
+    components, which the caller passes in: the components may be any
+    read-only sequence, lazy ones included, and are taken on trust to sum
+    to it.  interpret builds its direct_sum stand-ins and roots this way,
+    and direct_sum builds a tuple from a list of tensors.  The value is
+    immutable.
     """
 
     __slots__ = ("_components", "_collapsed")
 
-    def __init__(self, components, collapsed: Tensor | None = None):
-        if collapsed is None:
-            components = tuple(components)
-            collapsed = sum_tensors(list(components))
+    def __init__(self, components, collapsed: Tensor):
         if not len(components):
             raise EmptyList("a tensor tuple needs at least one component")
         self._components = components
@@ -437,8 +435,10 @@ def sum_tensors(tensors: list[Tensor]) -> Tensor:
 
 
 def direct_sum(tensors: list[Tensor]) -> TensorTuple:
-    """Keep tensors as an ordered tuple of alternatives; see TensorTuple."""
-    return TensorTuple(tensors)
+    """Keep tensors as an ordered tuple of alternatives, collapsing to
+    their sum_tensors; see TensorTuple."""
+    tensors = tuple(tensors)
+    return TensorTuple(tensors, sum_tensors(tensors))
 
 
 def unit_tensor(signature: Signature) -> Tensor:

@@ -423,10 +423,10 @@ def test_direct_sum_scores_equal_sum_scores_on_a_float_lexicon(traces_lex):
 
 def test_plausibility_collapses_tuples():
     s = Space("S", (TOP, BOTTOM))
-    pair = TensorTuple((
+    pair = direct_sum([
         Tensor(Signature((s,)), [1, 2]),
         Tensor(Signature((s,)), [3, 4]),
-    ))
+    ])
     assert plausibility(pair).top == 4
 
 

@@ -17,10 +17,10 @@ from dsvs import (
     Space,
     SpaceMap,
     Tensor,
-    TensorTuple,
     ValidationError,
     build_cooccurrence,
     build_verb_matrix,
+    direct_sum,
     fixture_path,
     load_lexicon,
     parse_excerpts,
@@ -160,6 +160,20 @@ def test_sense_needs_type_and_tensor_together():
     assert link.is_link
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"word": 1}, "id, word and forms must be strings"),
+    ({"forms": ("babies", 2)}, "id, word and forms must be strings"),
+    ({"sense_id": 3}, "id, word and forms must be strings"),
+    ({"gloss": b"wet"}, "gloss must be a string"),
+])
+def test_a_sense_refuses_a_field_that_is_not_a_string(fields, message):
+    # built in code, where load_lexicon's own checks do not run
+    sense = {"sense_id": "x", "word": "x", "sem_type": None, "tensor": None} | fields
+    with pytest.raises(ValidationError) as err:
+        Lexicon(SMAP, (Sense(**sense),))
+    assert str(err.value) == f"sense {sense['sense_id']!r}: {message}"
+
+
 def test_lexicon_validation():
     a = noun("a#n", "a", [1, 2])
     with pytest.raises(ValidationError):
@@ -173,8 +187,11 @@ def test_lexicon_validation():
 
 
 @pytest.mark.parametrize("formula", [
-    TensorTuple((Tensor(Signature((W, S)), [[1, 2], [3, 4]]),) * 2),
+    direct_sum([Tensor(Signature((W, S)), [[1, 2], [3, 4]])] * 2),
     [[1, 2], [3, 4]],
+    # one alternative, of another type's signature
+    direct_sum([Tensor(Signature((W,)), [1, 2])]),
+    [1, 2],
 ])
 def test_lexicon_refuses_a_formula_that_is_not_a_tensor(formula):
     bad = Sense("v#v", "v", parse_type("et"), formula)

@@ -6,12 +6,17 @@ silently.  The check reads src/dsvs/*.py with ast and flags three forms:
 `from .x import _y`, `from dsvs.x import _y`, and `x._y` where x names a
 sibling module bound by an import.
 
+Every public top-level function, class and constant is named somewhere
+besides its own definition and the package's re-export: by another
+statement of the package, by the bench, or by README.md.
+
 `import dsvs.cli` also loads nothing a cli call never uses: a child
 interpreter, started without its site hooks, records what the import
 adds beyond numpy's own.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +26,7 @@ import numpy
 import dsvs
 
 SRC = Path(dsvs.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _private(name: str) -> bool:
@@ -90,6 +96,60 @@ def test_no_module_uses_a_sibling_module_private_name():
     siblings = {p.stem for p in files} | {p.parent.name for p in SRC.glob("*/__init__.py")}
     found = {p.name: private_uses(p.read_text(encoding="utf-8"), siblings) for p in files}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _top_level(source: str):
+    """(names defined, names used) for each top-level statement: a
+    definition is a public function, class or assigned constant, a use a
+    name read, imported or read as an attribute."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            defined = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            defined = [stmt.target.id]
+        else:
+            defined = []
+        used = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        yield [n for n in defined if not n.startswith("_")], used
+
+
+def unnamed_public_names(modules: dict[str, str], texts: list[str]) -> list[str]:
+    """'module.name' for each public top-level definition of the modules
+    (module -> source) that no other top-level statement of theirs uses
+    and no text names as a word."""
+    statements = [(m, *pair) for m, source in modules.items() for pair in _top_level(source)]
+    text = "\n".join(texts)
+    return [f"{module}.{name}"
+            for i, (module, defined, _) in enumerate(statements) for name in defined
+            if not any(name in used for j, (_, _, used) in enumerate(statements) if j != i)
+            and not re.search(rf"\b{re.escape(name)}\b", text)]
+
+
+def test_the_unnamed_check_finds_a_name_only_its_definition_uses():
+    modules = {
+        "a": "X = 1\ndef f():\n    return f()\ndef g():\n    return X\nclass C:\n    pass",
+        "b": "from .a import g\ndef h(x):\n    return x.C",
+    }
+    assert unnamed_public_names(modules, []) == ["a.f", "b.h"]
+    assert unnamed_public_names(modules, ["call f(), not fh or h_"]) == ["b.h"]
+
+
+def test_every_public_name_is_named_beyond_its_definition():
+    # the package's re-export in __init__.py does not count as a use
+    modules = {p.relative_to(SRC).with_suffix("").as_posix(): p.read_text(encoding="utf-8")
+               for p in sorted(SRC.rglob("*.py")) if p != SRC / "__init__.py"}
+    texts = [p.read_text(encoding="utf-8")
+             for p in (*sorted((REPO / "bench").glob("*.py")), REPO / "README.md")]
+    assert unnamed_public_names(modules, texts) == []
 
 
 # modules that importlib.resources brings in, none of which dsvs uses

@@ -12,10 +12,7 @@ from dsvs import (
     Space,
     SpaceMap,
     T,
-    Tensor,
-    TensorTuple,
     application_slot,
-    check_formula,
     fn,
     parse_type,
     signature_of,
@@ -71,21 +68,6 @@ def test_types_outside_the_family_are_refused():
     for weird in ((fn(E, T), T), (E, E), (T, T), (fn(E, T), fn(E, T))):
         with pytest.raises(ValueError):
             fn(*weird)
-
-
-def test_check_formula_accepts_only_tensors():
-    noun = Tensor(Signature((W,)), [1, 2, 3])
-    verb = Tensor(Signature((W, S)), [[1, 2], [3, 4], [5, 6]])
-    assert check_formula(E, noun, SMAP)
-    assert check_formula(parse_type("et"), verb, SMAP)
-    assert not check_formula(E, verb, SMAP)
-    assert not check_formula(T, noun, SMAP)
-    assert not check_formula(E, TensorTuple((verb,)), SMAP)
-    assert not check_formula(E, None, SMAP)
-    assert not check_formula(E, [1, 2, 3], SMAP)
-    # a tuple of fitting tensors is not a formula, nor is a nested list
-    assert not check_formula(parse_type("et"), TensorTuple((verb, verb)), SMAP)
-    assert not check_formula(parse_type("et"), [[1, 2], [3, 4], [5, 6]], SMAP)
 
 
 def test_application_slot():

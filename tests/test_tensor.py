@@ -188,7 +188,7 @@ def test_equal_tensors_hash_equal(one, other):
     sig = Signature((A,) * np.ndim(one))
     a, b = Tensor(sig, one), Tensor(sig, other)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    ta, tb = TensorTuple((a, a)), TensorTuple((b, b))
+    ta, tb = direct_sum([a, a]), direct_sum([b, b])
     assert ta == tb and hash(ta) == hash(tb) and len({ta, tb}) == 1
 
 
