@@ -369,12 +369,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.run(args)
-    except (LexiconMiss, DeadEnd) as e:
-        print(f"dsvs: {e}", file=sys.stderr)
-        return 1
     except (DsvsError, OSError) as e:
         print(f"dsvs: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, (LexiconMiss, DeadEnd)) else 2
 
 
 if __name__ == "__main__":

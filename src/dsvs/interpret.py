@@ -244,26 +244,26 @@ class PlausibilityScore(NamedTuple):
     bottom: float
     ratio: float
 
-    @classmethod
-    def of(cls, vector: Tensor) -> "PlausibilityScore":
-        if vector.signature.dims != (2,):
-            raise SignatureMismatch(
-                f"plausibility needs a vector over a two-point space, got "
-                f"{vector.signature!r}"
-            )
-        top, bottom = vector.tolist()
-        total = top + bottom
-        if abs(total) == inf:  # two finite floats can overflow; ints cannot
-            raise NonFiniteEntry(f"plausibility total {top} + {bottom} is not a finite number")
-        ratio = 0.5 if total == 0 else top / total
-        return cls(top, bottom, ratio)
-
 
 def plausibility(vector) -> PlausibilityScore:
-    """Score a sentence-space value; tuples collapse by entrywise sum."""
+    """Score a sentence-space value; tuples collapse by entrywise sum.
+
+    Every score is built here.  The value must be a vector over a
+    two-point space, else SignatureMismatch; a float total top + bottom
+    that overflows raises NonFiniteEntry.  A zero total scores 0.5.
+    """
     if isinstance(vector, TensorTuple):
         vector = vector.collapse()
-    return PlausibilityScore.of(vector)
+    if vector.signature.dims != (2,):
+        raise SignatureMismatch(
+            f"plausibility needs a vector over a two-point space, got "
+            f"{vector.signature!r}"
+        )
+    top, bottom = vector.tolist()
+    total = top + bottom
+    if abs(total) == inf:  # two finite floats can overflow; ints cannot
+        raise NonFiniteEntry(f"plausibility total {top} + {bottom} is not a finite number")
+    return PlausibilityScore(top, bottom, 0.5 if total == 0 else top / total)
 
 
 def score_candidate(candidate, lexicon: Lexicon, strategy: str = "sum") -> PlausibilityScore:
@@ -300,7 +300,8 @@ def expect(state: ParseState, words, lexicon: Lexicon, strategy: str = "sum") ->
     """Rank candidate next words by the plausibility of what would follow.
 
     Each word is tried sense by sense against every live candidate; a
-    sense's score is the best plausibility among the parses it yields.
+    sense's score is that of the first parse disambiguate ranks among
+    those it yields: the best ratio, the earliest found among ties.
     Words or senses that nothing accepts come back with score None, after
     all scored entries.  An unknown strategy raises ValueError, whether
     or not any word is scored.
@@ -318,10 +319,7 @@ def expect(state: ParseState, words, lexicon: Lexicon, strategy: str = "sum") ->
             if not survivors:
                 dead.append(ExpectEntry(word, sense.sense_id, None))
                 continue
-            best = max(
-                (score_candidate(c, lexicon, strategy) for c in survivors),
-                key=lambda s: s.ratio,
-            )
+            best = disambiguate(ParseState(tuple(survivors)), lexicon, strategy)[0][1]
             scored.append(ExpectEntry(word, sense.sense_id, best))
     scored.sort(key=lambda e: -e.score.ratio)
     return scored + dead

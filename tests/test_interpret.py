@@ -518,3 +518,19 @@ def test_expect_unknown_word(base_lex):
 
 def test_expect_empty_word_list(base_lex):
     assert expect(parse_sequence(["babies"], base_lex), [], base_lex) == []
+
+
+def test_expect_keeps_the_first_of_tied_parses():
+    # the noun's two senses are v and 2v, so the verb gives two parses of
+    # equal ratio whose roots differ; a sense's score is the first one's
+    w, s = Space("W", ("x", "y")), Space("S", (TOP, BOTTOM))
+    one = Sense("pat#one", "pat", parse_type("e"), Tensor(Signature((w,)), [1, 2]))
+    two = Sense("pat#two", "pat", parse_type("e"), Tensor(Signature((w,)), [2, 4]))
+    run = Sense("run#v", "run", parse_type("et"), Tensor(Signature((w, s)), [[3, 1], [1, 1]]))
+    lex = Lexicon(SpaceMap(entity=w, sentence=s), (one, two, run))
+    st = parse_sequence(["pat"], lex)
+    first, second = (score_candidate(c, lex) for c in parser_module.advance_with_sense(st, run))
+    assert first.ratio == second.ratio and first != second
+    for strategy in ("unit", "sum", "direct_sum"):
+        (entry,) = expect(st, ["run"], lex, strategy)
+        assert entry == ("run", "run#v", first)
