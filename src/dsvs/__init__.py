@@ -33,6 +33,7 @@ from .interpret import (
     expect,
     known_inhabitants,
     plausibility,
+    require_stand_ins,
     score_candidate,
     underspec_tensor,
 )

@@ -16,7 +16,9 @@ word holds no token ("--") and a word that repeats after that reading
 exit 2.
 
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
-word, no surviving parse), 2 for bad usage or malformed files.
+word, no surviving parse), 2 for bad usage, malformed files, or a
+lexicon with no stand-in for some requirement a parse can leave open
+under the chosen strategy, refused before any output.
 
 main may be called many times in one process.  Every call loads its
 lexicon file anew and builds its own stand-ins.  What carries over
@@ -36,7 +38,7 @@ from json.encoder import encode_basestring
 from math import isfinite
 
 from .errors import DeadEnd, DsvsError, LexiconMiss, ParseError
-from .interpret import STRATEGIES, disambiguate, expect
+from .interpret import STRATEGIES, disambiguate, expect, require_stand_ins
 from .lexicon import (
     BOTTOM,
     TOP,
@@ -110,13 +112,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-def _need_lexicon(arg) -> Lexicon:
-    path = arg or os.environ.get(ENV_LEXICON)
+def _need_lexicon(args) -> Lexicon:
+    """The lexicon to score with, refused if some requirement a parse can
+    leave open has no stand-in under the chosen strategy."""
+    path = args.lexicon or os.environ.get(ENV_LEXICON)
     if not path:
         raise ParseError(
             f"no lexicon given: pass --lexicon or set ${ENV_LEXICON}"
         )
-    return load_lexicon(path)
+    lexicon = load_lexicon(path)
+    require_stand_ins(lexicon, args.strategy)
+    return lexicon
 
 
 def _root_line(score, lexicon) -> str:
@@ -217,7 +223,7 @@ def _candidate_json(rank, candidate, score) -> dict:
 
 
 def _cmd_parse(args) -> int:
-    lexicon = _need_lexicon(args.lexicon)
+    lexicon = _need_lexicon(args)
     words = tokenize(args.words)
     state = initial_state()
     trace = []
@@ -267,7 +273,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_disambiguate(args) -> int:
-    lexicon = _need_lexicon(args.lexicon)
+    lexicon = _need_lexicon(args)
     state = parse_sequence(tokenize(args.words), lexicon)
     ranked = disambiguate(state, lexicon, args.strategy)
     for k, (cand, score) in enumerate(ranked, start=1):
@@ -276,7 +282,7 @@ def _cmd_disambiguate(args) -> int:
 
 
 def _cmd_expect(args) -> int:
-    lexicon = _need_lexicon(args.lexicon)
+    lexicon = _need_lexicon(args)
     state = parse_sequence(tokenize(args.after), lexicon)
     words = tokenize(args.candidates.replace(",", " "))
     entries = expect(state, words, lexicon, args.strategy)

@@ -33,9 +33,16 @@ costs what scoring a sum root does and on float lexicons gives the same
 ratio bit for bit, and it re-evaluates the open spine for a component
 only when someone reads it.
 
-On those root values the module ranks: disambiguate orders a state's live
-candidates by plausibility, expect orders candidate next words by the
-plausibility of the parse that would follow.
+require_stand_ins settles from the lexicon's types alone, before any
+parse, whether every requirement a parse can leave open has a stand-in
+under a strategy, so that no sentence fails halfway on a lexicon that
+loaded.
+
+On those root values the module ranks.  plausibility is the one function
+that turns a root vector into a score.  disambiguate orders a state's live
+candidates by ratio, ties in discovery order, and expect scores each
+sense of a candidate next word by the parse disambiguate would rank first
+among those the sense yields, then orders the words by that score.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from typing import NamedTuple
 from .errors import NoInhabitants, NonFiniteEntry, SignatureMismatch
 from .lexicon import Lexicon
 from .parser import ParseState, Tree, advance_with_sense, evaluate
-from .semtypes import E, application_slot, signature_of
+from .semtypes import E, T, application_slot, fn, signature_of
 from .tensor import (
     Signature,
     Tensor,
@@ -184,6 +191,29 @@ def underspec_tensor(signature: Signature, strategy: str, lexicon: Lexicon):
             value = TensorTuple(tensors, collapsed=value)
     lexicon.stand_ins[key] = value
     return value
+
+
+def require_stand_ins(lexicon: Lexicon, strategy: str) -> None:
+    """Refuse a lexicon that cannot stand in for some unheard material.
+
+    A parse leaves requirements open only at t (the empty sentence), e
+    and ⟨e,t⟩.  A type has stand-in material when a sense has that type,
+    or when one sense has type ⟨e,τ⟩ and another has type e; only one
+    type denotes each signature, so that is exactly when known_inhabitants
+    is non-empty, and types alone decide it.  t, e and ⟨e,t⟩ are checked
+    in that order, and the first without material raises NoInhabitants as
+    underspec_tensor would for it.  unit always passes; an unknown
+    strategy raises ValueError.
+    """
+    _check_strategy(strategy)
+    if strategy == "unit":
+        return
+    types = {s.sem_type for s in lexicon.senses}
+    for tau in (T, E, fn(E, T)):
+        # for e the second test stops at E in types: no function returns e
+        if tau not in types and not (E in types and fn(E, tau) in types):
+            signature = signature_of(tau, lexicon.space_map)
+            raise NoInhabitants(f"lexicon has no tensors of signature {signature!r}")
 
 
 def compile_root(tree: Tree, lexicon: Lexicon, strategy: str = "sum"):

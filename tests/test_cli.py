@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -906,3 +908,93 @@ def test_a_surface_no_sentence_can_reach_exits_two(capsys, tmp_path, field, surf
     assert code == 2 and out == ""
     assert err.startswith("dsvs: ") and err.count("\n") == 1
     assert "'baby#n'" in err and repr(surface) in err
+
+
+# ---------------------------------------------------------------------------
+# a lexicon that cannot be scored is refused before any output
+
+
+def cut_lexicon(path, fixture, kept) -> str:
+    """Write the fixture cut down to the senses whose ids are kept."""
+    doc = json.loads(Path(fixture).read_text(encoding="utf-8"))
+    doc["senses"] = [sense for sense in doc["senses"] if sense["id"] in kept]
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+CUTS = [("baby#n", "ball#n", "control#v", "who#rel"), ("baby#n", "footballer#n", "who#rel")]
+CALLS = [
+    ["parse", ""], ["parse", "babies"], ["parse", "--format", "json", "--trace", "babies"],
+    ["disambiguate", "babies"], ["expect", "--after", "babies", "--candidates", "controls,who"],
+]
+
+
+@pytest.mark.parametrize("kept", CUTS, ids=["no-one-place-verb", "nouns-only"])
+@pytest.mark.parametrize("strategy", ["sum", "direct_sum"])
+def test_a_lexicon_without_stand_ins_exits_two_before_any_output(capsys, tmp_path, kept, strategy):
+    lexicon = cut_lexicon(tmp_path / "cut.lexicon", BASE, kept)
+    for command, *rest in CALLS:
+        got = run(capsys, command, "--lexicon", lexicon, "--strategy", strategy, *rest)
+        assert got == (2, "", "dsvs: lexicon has no tensors of signature Signature(S)\n")
+
+
+@pytest.mark.parametrize("kept", CUTS, ids=["no-one-place-verb", "nouns-only"])
+def test_unit_scores_a_lexicon_without_stand_ins(capsys, tmp_path, kept):
+    lexicon = cut_lexicon(tmp_path / "cut.lexicon", BASE, kept)
+    for command, *rest in CALLS:
+        code, out, err = run(capsys, command, "--lexicon", lexicon, "--strategy", "unit", *rest)
+        assert code == 0 and err == ""
+    code, out, _ = run(capsys, "parse", "--lexicon", lexicon, "--strategy", "unit", "babies")
+    assert out.endswith("root S = (44, 44)  ratio = 0.5000\n")
+
+
+def call(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _cuts(draw):
+    """A fixture, a non-empty set of its sense ids, and up to three
+    sentences of at most four of the kept senses' surfaces."""
+    fixture = draw(st.sampled_from([BASE, SPLIT, TRACES]))
+    senses = json.loads(Path(fixture).read_text(encoding="utf-8"))["senses"]
+    kept = draw(st.lists(st.sampled_from(senses), min_size=1, unique_by=lambda s: s["id"]))
+    surfaces = sorted({w for s in kept for w in (s["word"], *s.get("forms", ()))})
+    sentences = draw(st.lists(st.lists(st.sampled_from(surfaces), max_size=4).map(" ".join),
+                              max_size=3))
+    return fixture, {s["id"] for s in kept}, ["", *sentences], ",".join(surfaces)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cuts())
+def test_a_lexicon_is_refused_for_every_sentence_or_for_none(tmp_path_factory, cut):
+    fixture, kept, sentences, candidates = cut
+    lexicon = cut_lexicon(tmp_path_factory.getbasetemp() / "drawn.lexicon", fixture, kept)
+    lex = load_lexicon(lexicon)
+    for strategy in dsvs.STRATEGIES:
+        # the first of t, e and <e,t> whose stand-in cannot be built, if any
+        refusals = []
+        for kind in ("t", "e", "et"):
+            signature = dsvs.signature_of(dsvs.parse_type(kind), lex.space_map)
+            try:
+                dsvs.underspec_tensor(signature, strategy, lex)
+            except dsvs.NoInhabitants as e:
+                refusals.append(f"dsvs: {e}\n")
+        try:
+            dsvs.require_stand_ins(lex, strategy)
+            refusal = None
+        except dsvs.NoInhabitants as e:
+            refusal = f"dsvs: {e}\n"
+        assert refusal == (refusals[0] if refusals else None)
+        for words in sentences:
+            for command, *rest in (["parse", words], ["disambiguate", words],
+                                   ["expect", "--after", words, "--candidates", candidates]):
+                got = call([command, "--lexicon", lexicon, "--strategy", strategy, *rest])
+                if refusal:
+                    assert got == (2, "", refusal)
+                else:
+                    assert got[0] != 2, got

@@ -35,6 +35,7 @@ from dsvs import (
     parse_type,
     parse_word,
     plausibility,
+    require_stand_ins,
     saturate,
     score_candidate,
     signature_of,
@@ -196,6 +197,45 @@ def test_functions_without_entities_have_no_inhabitants():
     for strategy in ("sum", "direct_sum"):
         with pytest.raises(NoInhabitants):
             underspec_tensor(sig, strategy, lex)
+
+
+def test_stand_ins_are_required_for_t_then_e_then_et():
+    w, s = Space("W", ("x", "y")), Space("S", (TOP, BOTTOM))
+    tensors = {"e": Tensor(Signature((w,)), [1, 2]),
+               "t": Tensor(Signature((s,)), [3, 4]),
+               "et": Tensor(Signature((w, s)), [[1, 2], [3, 4]]),
+               "eet": Tensor(Signature((w, s, w)), np.ones((2, 2, 2), dtype=int))}
+    missing = {  # the kinds a lexicon holds -> the signature refused first
+        ("eet",): "Signature(S)",
+        ("e", "eet"): "Signature(S)",  # <e,t> by saturation, but t needs <e,t> itself
+        ("t",): "Signature(W)",
+        ("t", "et"): "Signature(W)",
+        ("t", "e"): "Signature(W @ S)",
+        ("t", "e", "et"): None,
+        ("e", "et"): None,  # t by saturation
+        ("e", "et", "eet"): None,
+    }
+    for kinds, signature in missing.items():
+        senses = [Sense("who#rel", "who", None, None)]
+        senses += [Sense(f"{k}#x", k, parse_type(k), tensors[k]) for k in kinds]
+        lex = Lexicon(SpaceMap(entity=w, sentence=s), tuple(senses))
+        require_stand_ins(lex, "unit")
+        for strategy in ("sum", "direct_sum"):
+            if signature is None:
+                require_stand_ins(lex, strategy)
+                continue
+            with pytest.raises(NoInhabitants) as refused:
+                require_stand_ins(lex, strategy)
+            assert str(refused.value) == f"lexicon has no tensors of signature {signature}"
+        assert lex.stand_ins == {}  # decided from types, building nothing
+
+
+def test_the_fixtures_have_every_stand_in(base_lex, split_lex, traces_lex):
+    for lex in (base_lex, split_lex, traces_lex):
+        for strategy in ("unit", "sum", "direct_sum"):
+            require_stand_ins(lex, strategy)
+    with pytest.raises(ValueError):
+        require_stand_ins(base_lex, "bogus")
 
 
 def test_memoised_stand_ins_are_shared_and_read_only():
