@@ -16,7 +16,8 @@ word holds no token ("--") and a word that repeats after that reading
 exit 2.
 
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
-word, no surviving parse), 2 for bad usage, malformed files, or a
+word, no surviving parse), 2 for bad usage (such as an expect candidate
+list that holds no word), malformed files, or a
 lexicon with no stand-in for some requirement a parse can leave open
 under the chosen strategy, refused before any output.
 
@@ -282,9 +283,11 @@ def _cmd_disambiguate(args) -> int:
 
 
 def _cmd_expect(args) -> int:
+    words = tokenize(args.candidates.replace(",", " "))
+    if not words:
+        raise ParseError(f"--candidates lists no word: {args.candidates!r}")
     lexicon = _need_lexicon(args)
     state = parse_sequence(tokenize(args.after), lexicon)
-    words = tokenize(args.candidates.replace(",", " "))
     entries = expect(state, words, lexicon, args.strategy)
     rank = 0
     for e in entries:

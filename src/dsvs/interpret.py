@@ -43,6 +43,10 @@ that turns a root vector into a score.  disambiguate orders a state's live
 candidates by ratio, ties in discovery order, and expect scores each
 sense of a candidate next word by the parse disambiguate would rank first
 among those the sense yields, then orders the words by that score.
+expect grows the parses of every candidate sense in one
+parser.advance_with_senses call, once per live candidate and sense type,
+and scores each sense's parses alone, so every score is the one that
+sense grown alone gets.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import NamedTuple
 
 from .errors import NoInhabitants, NonFiniteEntry, SignatureMismatch
 from .lexicon import Lexicon
-from .parser import ParseState, Tree, advance_with_sense, evaluate
+from .parser import ParseState, Tree, advance_with_senses, evaluate
 from .semtypes import E, T, application_slot, fn, signature_of
 from .tensor import (
     Signature,
@@ -329,23 +333,24 @@ class ExpectEntry(NamedTuple):
 def expect(state: ParseState, words, lexicon: Lexicon, strategy: str = "sum") -> list[ExpectEntry]:
     """Rank candidate next words by the plausibility of what would follow.
 
-    Each word is tried sense by sense against every live candidate; a
-    sense's score is that of the first parse disambiguate ranks among
-    those it yields: the best ratio, the earliest found among ties.
+    The senses of all words are tried against every live candidate in one
+    advance_with_senses call, which grows a candidate once per sense
+    type; a sense's parses are those advance_with_sense gives it alone,
+    and its score is that of the first parse disambiguate ranks among
+    them: the best ratio, the earliest found among ties.
     Words or senses that nothing accepts come back with score None, after
     all scored entries.  An unknown strategy raises ValueError, whether
     or not any word is scored.
     """
     _check_strategy(strategy)
+    looked = [(word, lexicon.lookup(word)) for word in words]
+    successors = iter(advance_with_senses(state, [s for _, senses in looked for s in senses]))
     scored: list[ExpectEntry] = []
     dead: list[ExpectEntry] = []
-    for word in words:
-        senses = lexicon.lookup(word)
+    for word, senses in looked:
         if not senses:
             dead.append(ExpectEntry(word, None, None))
-            continue
-        for sense in senses:
-            survivors = advance_with_sense(state, sense)
+        for sense, survivors in zip(senses, successors):
             if not survivors:
                 dead.append(ExpectEntry(word, sense.sense_id, None))
                 continue

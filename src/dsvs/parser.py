@@ -34,6 +34,11 @@ A parse never walks that list.  Travel up meets propositions, functors and
 hosts, and travel down enters open subtrees only, so a link sense can act
 only on the entity the pointer rests on, and any other sense only at
 canonical_view's open slot: each candidate forks at most once per sense.
+parse_word grows each sense alone (advance_with_sense).  interpret.expect
+tries many senses at once (advance_with_senses): whether a sense applies,
+and the shape it grows, depend only on its type, so expect grows each
+candidate once per sense type, and every further sense of the type gets a
+copy with its own tensor, saturated as a tree grown alone is.
 """
 
 from __future__ import annotations
@@ -375,6 +380,42 @@ def advance_with_sense(state: ParseState, sense: Sense) -> list[Candidate]:
         grown = apply_lexical(site, sense)
         if grown is not None:
             out.append(Candidate(saturate(grown), cand.senses + (sense.sense_id,)))
+    return out
+
+
+def advance_with_senses(state: ParseState, senses) -> list[list[Candidate]]:
+    """advance_with_sense(state, sense) for each sense, in order.
+
+    Whether a sense applies, and the tree it grows, depend only on its
+    type, and apply_link ignores the sense, so each candidate is viewed
+    once and grown once per type, link senses as one group.  Every further
+    sense of a type gets a copy of the group's grown tree with its own
+    tensor at the one node that holds it, the decorated leaf or the grown
+    functor daughter, and the grown tree's open flags; each tree is then
+    saturated as advance_with_sense saturates it.
+    """
+    groups: dict[SemType | None, list[int]] = {}
+    for k, sense in enumerate(senses):
+        groups.setdefault(sense.sem_type, []).append(k)
+    out: list[list[Candidate]] = [[] for _ in senses]
+    for cand in state.candidates:
+        view = None  # canonical_view(cand.tree), on first need
+        for ty, members in groups.items():
+            if ty is None:
+                site = cand.tree
+            else:
+                site = view = view or canonical_view(cand.tree)
+            grown = apply_lexical(site, senses[members[0]])
+            if grown is None:
+                continue
+            # _sprout appends the functor daughter last; a decorated leaf keeps the pointer
+            held = len(grown.nodes) - 1 if len(grown.nodes) > len(site.nodes) else grown.pointer
+            for k in members:
+                tree = grown
+                if ty is not None and k != members[0]:
+                    tree = grown.with_node(held, grown.nodes[held]._replace(formula=senses[k].tensor))
+                    tree.__dict__["open"] = grown.open
+                out[k].append(Candidate(saturate(tree), cand.senses + (senses[k].sense_id,)))
     return out
 
 

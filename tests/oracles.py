@@ -2,8 +2,9 @@
 
 Everything here works on plain nested Python lists with explicit loops; no
 numpy arithmetic (numpy is imported only to recognise its boolean scalar),
-no imports from the package under test.  Tests compare dsvs results
-against these.
+no imports from the package under test: expect_per_sense, the one loop
+over package calls, is handed the modules it calls.  Tests compare dsvs
+results against these.
 """
 
 import itertools
@@ -155,3 +156,29 @@ def check_entries_walk(values):
             raise TypeError(f"tensor entry {v} is a boolean, not a number")
         elif isinstance(v, int) and not -2**63 <= v < 2**63:
             raise ValueError(f"tensor entry {v} is outside the int64 range")
+
+
+# ---------------------------------------------------------------------------
+# ranking continuations
+
+
+def expect_per_sense(state, words, lexicon, strategy, parser, interpret):
+    """interpret.expect as one loop over (word, sense): each sense grown
+    alone from every live candidate with parser.advance_with_sense, then
+    scored by the parse interpret.disambiguate ranks first; scored entries
+    sorted by ratio, stably, then every dead one in order."""
+    scored, dead = [], []
+    for word in words:
+        senses = lexicon.lookup(word)
+        if not senses:
+            dead.append(interpret.ExpectEntry(word, None, None))
+            continue
+        for sense in senses:
+            survivors = parser.advance_with_sense(state, sense)
+            if not survivors:
+                dead.append(interpret.ExpectEntry(word, sense.sense_id, None))
+                continue
+            ranked = interpret.disambiguate(parser.ParseState(tuple(survivors)), lexicon, strategy)
+            scored.append(interpret.ExpectEntry(word, sense.sense_id, ranked[0][1]))
+    scored.sort(key=lambda e: -e.score.ratio)
+    return scored + dead

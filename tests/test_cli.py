@@ -176,6 +176,14 @@ def test_expect_tokenizes_candidates_like_sentences(capsys):
     ]
 
 
+@pytest.mark.parametrize("candidates", ["", ",", " , ,", "?;", "...,!"])
+def test_expect_refuses_candidates_without_a_word(capsys, candidates):
+    code, out, err = run(capsys, "expect", "--lexicon", BASE,
+                         "--after", "babies", "--candidates", candidates)
+    assert (code, out) == (2, "")
+    assert err == f"dsvs: --candidates lists no word: {candidates!r}\n"
+
+
 def test_lexicon_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("DSVS_LEXICON", BASE)
     code, out, _ = run(capsys, "parse", "babies vomit")

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -21,6 +22,7 @@ from dsvs import (
     SpaceMap,
     Tensor,
     TensorTuple,
+    Tree,
     axiom,
     compile_root,
     contract,
@@ -436,14 +438,19 @@ def test_plausibility_refuses_a_total_that_overflows():
     assert (score.top + score.bottom, score.ratio) == (2 * big, 0.5)
 
 
+def float_copy(lex):
+    """The lexicon with every tensor entry x made the float x * 1.1 + 0.3."""
+    return Lexicon(lex.space_map, tuple(
+        s if s.tensor is None
+        else replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
+        for s in lex.senses
+    ))
+
+
 def test_direct_sum_scores_equal_sum_scores_on_a_float_lexicon(traces_lex):
     # a direct_sum root is scored from collapsed stand-ins, so its float
     # arithmetic is the sum strategy's, step for step
-    lex = Lexicon(traces_lex.space_map, tuple(
-        s if s.tensor is None
-        else replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
-        for s in traces_lex.senses
-    ))
+    lex = float_copy(traces_lex)
     vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
     states, pairs = [initial_state()], 0
     for _ in range(6):  # every live prefix of up to five words
@@ -574,3 +581,67 @@ def test_expect_keeps_the_first_of_tied_parses():
     for strategy in ("unit", "sum", "direct_sum"):
         (entry,) = expect(st, ["run"], lex, strategy)
         assert entry == ("run", "run#v", first)
+
+
+def live_prefixes(lex, words: int):
+    """The parse state of every live prefix of up to words words over the
+    lexicon's vocabulary, shortest first, and the vocabulary."""
+    vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
+    states, level = [], [initial_state()]
+    for _ in range(words):
+        states += level
+        level = [grown for state in level for grown in _parses_of(state, vocabulary, lex)]
+    return states + level, vocabulary
+
+
+def _parses_of(state, vocabulary, lex):
+    for word in vocabulary:
+        try:
+            yield parse_word(state, word, lex)
+        except DeadEnd:
+            continue
+
+
+@pytest.mark.parametrize("name", ["paper_s4", "split_senses", "traces"])
+def test_expect_on_float_lexicons_is_the_per_sense_loop_bit_for_bit(name):
+    # growing a candidate once per sense type leaves every contraction its
+    # operands and order, so float scores keep their last bits
+    lex = float_copy(load_lexicon(fixture_path(name)))
+    states, vocabulary = live_prefixes(lex, 3)
+    words = vocabulary + ["zebra"]
+    for strategy in ("sum", "direct_sum"):
+        for state in states:
+            want = oracles.expect_per_sense(state, words, lex, strategy,
+                                            parser_module, interpret_module)
+            assert repr(expect(state, words, lex, strategy)) == repr(want), state.consumed
+    assert len(states) > 20
+
+
+@pytest.mark.parametrize("name", ["paper_s4", "split_senses", "traces"])
+def test_expect_grows_each_candidate_once_per_sense_type(name, monkeypatch):
+    lex = load_lexicon(fixture_path(name))
+    states, vocabulary = live_prefixes(lex, 3)
+    calls = {"canonical_view": 0, "apply_lexical": 0, "open": 0}
+
+    def counted(fn, key):
+        def counting(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counting
+
+    for key in ("canonical_view", "apply_lexical"):
+        monkeypatch.setattr(parser_module, key, counted(getattr(parser_module, key), key))
+    flags = cached_property(counted(Tree.open.func, "open"))
+    flags.__set_name__(Tree, "open")
+    monkeypatch.setattr(Tree, "open", flags)
+    types = len({s.sem_type for s in lex.senses})  # link senses: None
+    assert types < len(lex.senses)  # so growing per sense would break a bound
+    for state in states:
+        for cand in state.candidates:
+            cand.tree.open  # the candidate's own flags, which its parse reads
+        before = dict(calls)
+        expect(state, vocabulary, lex)
+        live = len(state.candidates)
+        assert calls["canonical_view"] - before["canonical_view"] <= live
+        assert calls["apply_lexical"] - before["apply_lexical"] <= live * types
+        assert calls["open"] - before["open"] <= live * types

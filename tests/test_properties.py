@@ -30,6 +30,11 @@ walks, pointer travel reaches at most one requirement leaf, that slot, and
 the one try gives the successor that trying the sense at every reachable
 position in travel order, first hit taken, gives.
 
+expect grows each candidate once per sense type and hands every further
+sense of the type a copy with its own tensor.  On the same prefixes and
+walks, that gives, sense by sense, the candidates and open flags that
+growing each sense alone gives.
+
 A direct_sum root builds its components only when they are read.  The
 reference for them is the eager product, restated with lists: every pair
 of daughter components, functor outermost, then every finished adjunct of
@@ -526,6 +531,53 @@ def test_each_sense_has_one_site_on_random_lexicons(drawn):
         except DeadEnd:
             return
         _check_one_site(state, lex)
+
+
+def _check_senses_at_once(state, lex):
+    """Trying several senses at once gives, sense by sense and in order,
+    what trying each alone gives: equal candidates (trees with their
+    products, sense tuples) in the same order, with equal open flags.
+    The lexicon's senses are tried forwards, then backwards after a
+    repeat of the last one."""
+    for senses in (lex.senses, lex.senses[-1:] + lex.senses[::-1]):
+        got = dsvs.parser.advance_with_senses(state, senses)
+        want = [dsvs.parser.advance_with_sense(state, sense) for sense in senses]
+        assert got == want, state.consumed
+        assert [[c.tree.open for c in cands] for cands in got] == [
+            [c.tree.open for c in cands] for cands in want]
+
+
+@pytest.mark.parametrize("name", ["traces", "paper_s4", "split_senses"])
+def test_senses_at_once_grow_what_each_sense_grows_on_the_fixtures(name):
+    lex = load_lexicon(fixture_path(name))
+    vocabulary = sorted({w for s in lex.senses for w in (s.word,) + s.forms})
+    states = [initial_state()]
+    for _ in range(4):  # every live prefix of up to four words
+        nxt = []
+        for state in states:
+            _check_senses_at_once(state, lex)
+            for word in vocabulary:
+                try:
+                    nxt.append(parse_word(state, word, lex))
+                except DeadEnd:
+                    continue
+        states = nxt
+    for state in states:
+        _check_senses_at_once(state, lex)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(random_lexicons(), relative_clause_walks()))
+def test_senses_at_once_grow_what_each_sense_grows_on_random_lexicons(drawn):
+    lex, words = drawn
+    state = initial_state()
+    _check_senses_at_once(state, lex)
+    for word in words:
+        try:
+            state = parse_word(state, word, lex)
+        except DeadEnd:
+            return
+        _check_senses_at_once(state, lex)
 
 
 @settings(max_examples=80, deadline=None, database=None)
