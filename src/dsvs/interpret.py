@@ -43,10 +43,6 @@ that turns a root vector into a score.  disambiguate orders a state's live
 candidates by ratio, ties in discovery order, and expect scores each
 sense of a candidate next word by the parse disambiguate would rank first
 among those the sense yields, then orders the words by that score.
-expect grows the parses of every candidate sense in one
-parser.advance_with_senses call, once per live candidate and sense type,
-and scores each sense's parses alone, so every score is the one that
-sense grown alone gets.
 """
 
 from __future__ import annotations
@@ -333,11 +329,10 @@ class ExpectEntry(NamedTuple):
 def expect(state: ParseState, words, lexicon: Lexicon, strategy: str = "sum") -> list[ExpectEntry]:
     """Rank candidate next words by the plausibility of what would follow.
 
-    The senses of all words are tried against every live candidate in one
-    advance_with_senses call, which grows a candidate once per sense
-    type; a sense's parses are those advance_with_sense gives it alone,
-    and its score is that of the first parse disambiguate ranks among
-    them: the best ratio, the earliest found among ties.
+    The senses of all words are grown from every live candidate in one
+    advance_with_senses call; a sense's score is that of the first parse
+    disambiguate ranks among those it yields: the best ratio, the
+    earliest found among ties.
     Words or senses that nothing accepts come back with score None, after
     all scored entries.  An unknown strategy raises ValueError, whether
     or not any word is scored.

@@ -33,12 +33,8 @@ any daughter or adjunct still open, as Tree.open flags, one pass per tree.
 A parse never walks that list.  Travel up meets propositions, functors and
 hosts, and travel down enters open subtrees only, so a link sense can act
 only on the entity the pointer rests on, and any other sense only at
-canonical_view's open slot: each candidate forks at most once per sense.
-parse_word grows each sense alone (advance_with_sense).  interpret.expect
-tries many senses at once (advance_with_senses): whether a sense applies,
-and the shape it grows, depend only on its type, so expect grows each
-candidate once per sense type, and every further sense of the type gets a
-copy with its own tensor, saturated as a tree grown alone is.
+canonical_view's open slot: each candidate forks at most once per sense,
+and grows once per sense type (advance_with_senses).
 """
 
 from __future__ import annotations
@@ -372,19 +368,15 @@ def initial_state() -> ParseState:
 
 
 def advance_with_sense(state: ParseState, sense: Sense) -> list[Candidate]:
-    """Successors of every candidate under one sense, tried at one site: a
-    link sense where the pointer rests, any other at canonical_view's."""
-    out = []
-    for cand in state.candidates:
-        site = cand.tree if sense.is_link else canonical_view(cand.tree)
-        grown = apply_lexical(site, sense)
-        if grown is not None:
-            out.append(Candidate(saturate(grown), cand.senses + (sense.sense_id,)))
-    return out
+    """Successors of every candidate under one sense: advance_with_senses
+    for that sense alone."""
+    return advance_with_senses(state, (sense,))[0]
 
 
 def advance_with_senses(state: ParseState, senses) -> list[list[Candidate]]:
-    """advance_with_sense(state, sense) for each sense, in order.
+    """Successors of every candidate under each sense, one list per sense,
+    in order, each sense tried at one site: a link sense where the pointer
+    rests, any other at canonical_view's.
 
     Whether a sense applies, and the tree it grows, depend only on its
     type, and apply_link ignores the sense, so each candidate is viewed
@@ -392,12 +384,14 @@ def advance_with_senses(state: ParseState, senses) -> list[list[Candidate]]:
     sense of a type gets a copy of the group's grown tree with its own
     tensor at the one node that holds it, the decorated leaf or the grown
     functor daughter, and the grown tree's open flags; each tree is then
-    saturated as advance_with_sense saturates it.
+    saturated.  Every contraction keeps the operands and order it has when
+    the sense is grown alone.
     """
     groups: dict[SemType | None, list[int]] = {}
+    out: list[list[Candidate]] = []
     for k, sense in enumerate(senses):
         groups.setdefault(sense.sem_type, []).append(k)
-    out: list[list[Candidate]] = [[] for _ in senses]
+        out.append([])
     for cand in state.candidates:
         view = None  # canonical_view(cand.tree), on first need
         for ty, members in groups.items():
@@ -405,17 +399,20 @@ def advance_with_senses(state: ParseState, senses) -> list[list[Candidate]]:
                 site = cand.tree
             else:
                 site = view = view or canonical_view(cand.tree)
-            grown = apply_lexical(site, senses[members[0]])
+            first = members[0]
+            grown = apply_lexical(site, senses[first])
             if grown is None:
                 continue
-            # _sprout appends the functor daughter last; a decorated leaf keeps the pointer
-            held = len(grown.nodes) - 1 if len(grown.nodes) > len(site.nodes) else grown.pointer
-            for k in members:
-                tree = grown
-                if ty is not None and k != members[0]:
-                    tree = grown.with_node(held, grown.nodes[held]._replace(formula=senses[k].tensor))
-                    tree.__dict__["open"] = grown.open
-                out[k].append(Candidate(saturate(tree), cand.senses + (senses[k].sense_id,)))
+            out[first].append(Candidate(saturate(grown), cand.senses + (senses[first].sense_id,)))
+            if len(members) > 1:
+                # _sprout appends the functor daughter last; a decorated leaf keeps the pointer
+                held = len(grown.nodes) - 1 if len(grown.nodes) > len(site.nodes) else grown.pointer
+                for k in members[1:]:
+                    tree = grown
+                    if ty is not None:
+                        tree = grown.with_node(held, grown.nodes[held]._replace(formula=senses[k].tensor))
+                        tree.__dict__["open"] = grown.open
+                    out[k].append(Candidate(saturate(tree), cand.senses + (senses[k].sense_id,)))
     return out
 
 
@@ -430,8 +427,8 @@ def parse_word(state: ParseState, word: str, lexicon: Lexicon) -> ParseState:
     if not senses:
         raise LexiconMiss(word, position)
     survivors: list[Candidate] = []
-    for sense in senses:
-        survivors.extend(advance_with_sense(state, sense))
+    for grown in advance_with_senses(state, senses):
+        survivors += grown
     if not survivors:
         raise DeadEnd(word, position)
     return ParseState(tuple(survivors), state.consumed + (word,))

@@ -2,9 +2,9 @@
 
 Everything here works on plain nested Python lists with explicit loops; no
 numpy arithmetic (numpy is imported only to recognise its boolean scalar),
-no imports from the package under test: expect_per_sense, the one loop
-over package calls, is handed the modules it calls.  Tests compare dsvs
-results against these.
+no imports from the package under test: advance_alone and
+expect_per_sense, the loops over package calls, are handed the modules
+they call.  Tests compare dsvs results against these.
 """
 
 import itertools
@@ -159,14 +159,27 @@ def check_entries_walk(values):
 
 
 # ---------------------------------------------------------------------------
-# ranking continuations
+# growing and ranking continuations
+
+
+def advance_alone(state, sense, parser):
+    """parser.advance_with_sense as one loop over candidates: the sense
+    tried where the pointer rests if it is a link sense, else at
+    parser.canonical_view's slot, and the grown tree saturated."""
+    out = []
+    for cand in state.candidates:
+        site = cand.tree if sense.is_link else parser.canonical_view(cand.tree)
+        grown = parser.apply_lexical(site, sense)
+        if grown is not None:
+            out.append(parser.Candidate(parser.saturate(grown), cand.senses + (sense.sense_id,)))
+    return out
 
 
 def expect_per_sense(state, words, lexicon, strategy, parser, interpret):
     """interpret.expect as one loop over (word, sense): each sense grown
-    alone from every live candidate with parser.advance_with_sense, then
-    scored by the parse interpret.disambiguate ranks first; scored entries
-    sorted by ratio, stably, then every dead one in order."""
+    alone from every live candidate with advance_alone, then scored by
+    the parse interpret.disambiguate ranks first; scored entries sorted
+    by ratio, stably, then every dead one in order."""
     scored, dead = [], []
     for word in words:
         senses = lexicon.lookup(word)
@@ -174,7 +187,7 @@ def expect_per_sense(state, words, lexicon, strategy, parser, interpret):
             dead.append(interpret.ExpectEntry(word, None, None))
             continue
         for sense in senses:
-            survivors = parser.advance_with_sense(state, sense)
+            survivors = advance_alone(state, sense, parser)
             if not survivors:
                 dead.append(interpret.ExpectEntry(word, sense.sense_id, None))
                 continue

@@ -30,10 +30,10 @@ walks, pointer travel reaches at most one requirement leaf, that slot, and
 the one try gives the successor that trying the sense at every reachable
 position in travel order, first hit taken, gives.
 
-expect grows each candidate once per sense type and hands every further
+A parse grows each candidate once per sense type and hands every further
 sense of the type a copy with its own tensor.  On the same prefixes and
 walks, that gives, sense by sense, the candidates and open flags that
-growing each sense alone gives.
+growing each sense alone gives (oracles.advance_alone).
 
 A direct_sum root builds its components only when they are read.  The
 reference for them is the eager product, restated with lists: every pair
@@ -541,7 +541,7 @@ def _check_senses_at_once(state, lex):
     repeat of the last one."""
     for senses in (lex.senses, lex.senses[-1:] + lex.senses[::-1]):
         got = dsvs.parser.advance_with_senses(state, senses)
-        want = [dsvs.parser.advance_with_sense(state, sense) for sense in senses]
+        want = [oracles.advance_alone(state, sense, dsvs.parser) for sense in senses]
         assert got == want, state.consumed
         assert [[c.tree.open for c in cands] for cands in got] == [
             [c.tree.open for c in cands] for cands in want]
