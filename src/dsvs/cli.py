@@ -17,8 +17,10 @@ exit 2.
 
 Exit status: 0 on success, 1 when the input cannot be analysed (unknown
 word, no surviving parse), 2 for bad usage (such as an expect candidate
-list that holds no word), malformed files, or a
-lexicon with no stand-in for some requirement a parse can leave open
+list that holds no word, or repeats one once tokenized), malformed files,
+input nested too deeply for Python's recursion limit (a sentence whose
+tree is too deep for the JSON writer, a type spelling too long to read),
+or a lexicon with no stand-in for some requirement a parse can leave open
 under the chosen strategy, refused before any output.
 
 main may be called many times in one process.  Every call loads its
@@ -286,6 +288,9 @@ def _cmd_expect(args) -> int:
     words = tokenize(args.candidates.replace(",", " "))
     if not words:
         raise ParseError(f"--candidates lists no word: {args.candidates!r}")
+    for i, word in enumerate(words):
+        if word in words[:i]:
+            raise ParseError(f"--candidates repeats {word!r}: {args.candidates!r}")
     lexicon = _need_lexicon(args)
     state = parse_sequence(tokenize(args.after), lexicon)
     entries = expect(state, words, lexicon, args.strategy)
@@ -381,6 +386,9 @@ def main(argv=None) -> int:
     except (DsvsError, OSError) as e:
         print(f"dsvs: {e}", file=sys.stderr)
         return 1 if isinstance(e, (LexiconMiss, DeadEnd)) else 2
+    except RecursionError:
+        print("dsvs: input nested too deeply to process", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

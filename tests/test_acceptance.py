@@ -15,29 +15,32 @@ import pytest
 
 import oracles
 from dsvs import (
-    BOTTOM,
-    TOP,
-    CorpusExcerpt,
-    Signature,
-    Tensor,
-    TensorTuple,
-    build_cooccurrence,
-    build_verb_matrix,
-    canonical_view,
     compile_root,
-    contract,
     disambiguate,
     expect,
     fixture_path,
     initial_state,
-    known_inhabitants,
     load_lexicon,
-    mu,
     parse_sequence,
     parse_word,
     plausibility,
-    render,
+)
+from dsvs.interpret import known_inhabitants
+from dsvs.lexicon import (
+    BOTTOM,
+    TOP,
+    CorpusExcerpt,
+    build_cooccurrence,
+    build_verb_matrix,
     save_lexicon,
+)
+from dsvs.parser import canonical_view, render
+from dsvs.tensor import (
+    Signature,
+    Tensor,
+    TensorTuple,
+    contract,
+    mu,
     sum_tensors,
     unit_tensor,
 )

@@ -14,15 +14,11 @@ from hypothesis import strategies as st
 
 import dsvs
 import dsvs.cli
-from dsvs import (
-    canonical_view,
-    disambiguate,
-    fixture_path,
-    load_lexicon,
-    parse_sequence,
-    render,
-)
+from dsvs import disambiguate, fixture_path, load_lexicon, parse_sequence
 from dsvs.cli import _json_text, _tree_json, main
+from dsvs.interpret import STRATEGIES, require_stand_ins, underspec_tensor
+from dsvs.parser import canonical_view, render
+from dsvs.semtypes import parse_type, signature_of
 
 BASE = str(fixture_path("paper_s4"))
 SPLIT = str(fixture_path("split_senses"))
@@ -166,6 +162,14 @@ def test_expect_reports_dead_candidates(capsys):
     assert out.splitlines()[0] == "-. milk (milk#n)  no parse"
 
 
+@pytest.mark.parametrize("candidates", ["vomit,Vomit", "vomit,vomit", "Vomit. score, vomit"])
+def test_expect_refuses_a_repeated_candidate(capsys, candidates):
+    message = f"dsvs: --candidates repeats 'vomit': {candidates!r}\n"
+    for lexicon in (BASE, "missing.lexicon"):  # refused before the lexicon is read
+        assert run(capsys, "expect", "--lexicon", lexicon, "--after", "babies",
+                   "--candidates", candidates) == (2, "", message)
+
+
 def test_expect_tokenizes_candidates_like_sentences(capsys):
     code, out, _ = run(capsys, "expect", "--lexicon", BASE,
                        "--after", "Babies", "--candidates", "Vomit,score.")
@@ -283,6 +287,23 @@ def test_float_overflow_is_reported_once_without_a_warning(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr == "dsvs: tensor entry inf is not a finite number\n"
+
+
+def test_input_nested_too_deeply_exits_two_without_a_traceback(capsys, tmp_path):
+    message = "dsvs: input nested too deeply to process\n"
+    # 1,203 words: the JSON writer recurses once per tree level, render does not
+    words = "john likes mary" + " who likes john who likes mary" * 200
+    assert run(capsys, "parse", "--lexicon", TRACES, "--format", "json", words) == (
+        2, "", message)
+    code, out, err = run(capsys, "parse", "--lexicon", TRACES, words)
+    assert code == 0 and err == "" and out.endswith("ratio = 0.5000\n")
+    # a type spelling too long to turn into a signature
+    doc = json.loads(Path(TRACES).read_text(encoding="utf-8"))
+    doc["senses"].append({"id": "deep#v", "word": "deep", "type": "e" * 1500 + "t",
+                          "tensor": [1, 2]})
+    path = tmp_path / "deep.lexicon"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "parse", "--lexicon", str(path), "john sleeps") == (2, "", message)
 
 
 def test_plausibility_overflow_exits_two(capsys, tmp_path):
@@ -983,17 +1004,17 @@ def test_a_lexicon_is_refused_for_every_sentence_or_for_none(tmp_path_factory, c
     fixture, kept, sentences, candidates = cut
     lexicon = cut_lexicon(tmp_path_factory.getbasetemp() / "drawn.lexicon", fixture, kept)
     lex = load_lexicon(lexicon)
-    for strategy in dsvs.STRATEGIES:
+    for strategy in STRATEGIES:
         # the first of t, e and <e,t> whose stand-in cannot be built, if any
         refusals = []
         for kind in ("t", "e", "et"):
-            signature = dsvs.signature_of(dsvs.parse_type(kind), lex.space_map)
+            signature = signature_of(parse_type(kind), lex.space_map)
             try:
-                dsvs.underspec_tensor(signature, strategy, lex)
+                underspec_tensor(signature, strategy, lex)
             except dsvs.NoInhabitants as e:
                 refusals.append(f"dsvs: {e}\n")
         try:
-            dsvs.require_stand_ins(lex, strategy)
+            require_stand_ins(lex, strategy)
             refusal = None
         except dsvs.NoInhabitants as e:
             refusal = f"dsvs: {e}\n"

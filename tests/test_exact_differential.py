@@ -24,15 +24,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dsvs import (
-    DeadEnd,
-    disambiguate,
-    expect,
-    initial_state,
-    load_lexicon,
-    parse_word,
-    save_lexicon,
-)
+from dsvs import DeadEnd, disambiguate, expect, initial_state, load_lexicon, parse_word
+from dsvs.lexicon import save_lexicon
 from test_properties import relative_sentences
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -9,39 +9,36 @@ import oracles
 from dsvs import interpret as interpret_module
 from dsvs import parser as parser_module
 from dsvs import (
-    BOTTOM,
-    TOP,
     DeadEnd,
-    Lexicon,
     NoInhabitants,
     NonFiniteEntry,
-    Sense,
-    Signature,
     SignatureMismatch,
-    Space,
-    SpaceMap,
-    Tensor,
-    TensorTuple,
-    Tree,
-    axiom,
     compile_root,
-    contract,
-    direct_sum,
     disambiguate,
     expect,
     fixture_path,
     initial_state,
-    known_inhabitants,
     load_lexicon,
     parse_sequence,
-    parse_type,
     parse_word,
     plausibility,
+)
+from dsvs.interpret import (
+    known_inhabitants,
     require_stand_ins,
-    saturate,
     score_candidate,
-    signature_of,
     underspec_tensor,
+)
+from dsvs.lexicon import BOTTOM, TOP, Lexicon, Sense
+from dsvs.parser import Tree, axiom, saturate
+from dsvs.semtypes import SpaceMap, parse_type, signature_of
+from dsvs.tensor import (
+    Signature,
+    Space,
+    Tensor,
+    TensorTuple,
+    contract,
+    direct_sum,
     unit_tensor,
 )
 

@@ -5,30 +5,22 @@ import numpy as np
 import pytest
 
 import dsvs.lexicon as lexicon_module
-from dsvs import (
+from dsvs import EmptyCorpus, ParseError, ValidationError, fixture_path, load_lexicon
+from dsvs.lexicon import (
     BOTTOM,
     TOP,
     CorpusExcerpt,
-    EmptyCorpus,
     Lexicon,
-    ParseError,
     Sense,
-    Signature,
-    Space,
-    SpaceMap,
-    Tensor,
-    ValidationError,
     build_cooccurrence,
     build_verb_matrix,
-    direct_sum,
-    fixture_path,
-    load_lexicon,
     parse_excerpts,
-    parse_type,
     read_corpus,
     save_lexicon,
     tokenize,
 )
+from dsvs.semtypes import SpaceMap, parse_type
+from dsvs.tensor import Signature, Space, Tensor, direct_sum
 
 
 def ex(eid, text):

@@ -10,6 +10,10 @@ Every public top-level function, class and constant is named somewhere
 besides its own definition and the package's re-export: by another
 statement of the package, by the bench, or by README.md.
 
+The package itself exports the pipeline a caller drives and the errors it
+raises, and nothing else: every name that the bench, README.md or CI reads
+off `dsvs` is among them, and each pipeline function is read there.
+
 `import dsvs.cli` also loads nothing a cli call never uses: a child
 interpreter, started without its site hooks, records what the import
 adds beyond numpy's own.
@@ -19,11 +23,13 @@ import ast
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy
 
 import dsvs
+from dsvs import errors
 
 SRC = Path(dsvs.__file__).resolve().parent
 REPO = Path(__file__).resolve().parents[1]
@@ -150,6 +156,43 @@ def test_every_public_name_is_named_beyond_its_definition():
     texts = [p.read_text(encoding="utf-8")
              for p in (*sorted((REPO / "bench").glob("*.py")), REPO / "README.md")]
     assert unnamed_public_names(modules, texts) == []
+
+
+PIPELINE = {"compile_root", "disambiguate", "expect", "fixture_path", "initial_state",
+            "load_lexicon", "parse_sequence", "parse_word", "plausibility"}
+
+
+def package_names_read(text: str, modules: set[str]) -> set[str]:
+    """The names text reads off the dsvs package, by `from dsvs import`
+    or as `dsvs.name`, leaving out the package's modules."""
+    names = set()
+    for group in re.findall(r"\bfrom dsvs import (\([^)]*\)|[\w, ]+)", text):
+        names.update(re.findall(r"\w+", re.sub(r"\s+as\s+\w+", "", group)))
+    names.update(re.findall(r"\bdsvs\.([A-Za-z]\w*)", text))
+    return names - modules
+
+
+def test_the_read_check_finds_each_form():
+    text = ("from dsvs import a, b as c; x\n"
+            "from dsvs import (\n    d,\n    tensor,\n)\n"
+            "'from dsvs import e'\nself.dsvs.f(1)\ndsvs.tensor.Tensor\n"
+            "dsvs.__file__\nfrom dsvs.parser import g\nimport dsvs.cli\n")
+    assert package_names_read(text, {"cli", "parser", "tensor"}) == {"a", "b", "d", "e", "f"}
+
+
+def test_the_package_exports_the_pipeline_and_the_errors_only():
+    exported = {name for name, value in vars(dsvs).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    family = {name for name, value in vars(errors).items()
+              if isinstance(value, type) and issubclass(value, errors.DsvsError)}
+    assert exported == PIPELINE | family
+    modules = {p.stem for p in SRC.glob("*.py")}
+    texts = [p.read_text(encoding="utf-8")
+             for p in (*sorted((REPO / "bench").glob("*.py")), REPO / "README.md",
+                       REPO / ".github" / "workflows" / "tests.yml")]
+    read = package_names_read("\n".join(texts), modules)
+    assert sorted(read - exported) == []
+    assert sorted(PIPELINE - read) == []
 
 
 # modules that importlib.resources brings in, none of which dsvs uses

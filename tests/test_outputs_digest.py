@@ -28,8 +28,9 @@ import shlex
 import tempfile
 from pathlib import Path
 
-from dsvs import STRATEGIES, fixture_path, load_lexicon
+from dsvs import fixture_path, load_lexicon
 from dsvs.cli import main
+from dsvs.interpret import STRATEGIES
 
 DIGEST = Path(__file__).with_name("outputs_digest.txt")
 

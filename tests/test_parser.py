@@ -9,26 +9,25 @@ import oracles
 from dsvs import parser as parser_module
 from dsvs import (
     DeadEnd,
-    E,
-    Lexicon,
     LexiconMiss,
-    T,
-    Tensor,
+    compile_root,
+    initial_state,
+    parse_sequence,
+    parse_word,
+)
+from dsvs.lexicon import Lexicon
+from dsvs.parser import (
     Tree,
     apply_computational,
     apply_lexical,
     apply_link,
     axiom,
     canonical_view,
-    compile_root,
-    fn,
-    initial_state,
-    mu,
-    parse_sequence,
-    parse_word,
     render,
     saturate,
 )
+from dsvs.semtypes import E, T, fn
+from dsvs.tensor import Tensor, mu
 
 ET = fn(E, T)
 

@@ -68,52 +68,44 @@ import oracles
 import dsvs.parser
 import dsvs.tensor
 from dsvs import (
-    BOTTOM,
-    STRATEGIES,
-    TOP,
-    Candidate,
-    CorpusExcerpt,
     DeadEnd,
     DuplicateSlot,
-    E,
     EmptyCorpus,
-    Lexicon,
     NonFiniteEntry,
-    ParseState,
-    Sense,
-    Signature,
     SlotOutOfRange,
-    Space,
-    SpaceMap,
     SpaceMismatch,
-    T,
-    Tensor,
-    TensorTuple,
-    application_slot,
-    apply_computational,
-    apply_lexical,
-    axiom,
-    build_cooccurrence,
-    build_verb_matrix,
-    canonical_view,
     compile_root,
-    contract,
     disambiguate,
     fixture_path,
     initial_state,
-    known_inhabitants,
     load_lexicon,
-    mu,
-    parse_excerpts,
     parse_sequence,
-    parse_type,
     parse_word,
     plausibility,
-    saturate,
-    signature_of,
-    tokenize,
-    underspec_tensor,
 )
+from dsvs.interpret import STRATEGIES, known_inhabitants, underspec_tensor
+from dsvs.lexicon import (
+    BOTTOM,
+    TOP,
+    CorpusExcerpt,
+    Lexicon,
+    Sense,
+    build_cooccurrence,
+    build_verb_matrix,
+    parse_excerpts,
+    tokenize,
+)
+from dsvs.parser import (
+    Candidate,
+    ParseState,
+    apply_computational,
+    apply_lexical,
+    axiom,
+    canonical_view,
+    saturate,
+)
+from dsvs.semtypes import E, SpaceMap, T, application_slot, parse_type, signature_of
+from dsvs.tensor import Signature, Space, Tensor, TensorTuple, contract, mu
 
 LEXICONS = {name: load_lexicon(fixture_path(name)) for name in ("traces", "split_senses")}
 

@@ -5,11 +5,10 @@ import threading
 
 import pytest
 
-from dsvs import (
+from dsvs import semtypes as semtypes_module
+from dsvs.semtypes import (
     E,
     SemType,
-    Signature,
-    Space,
     SpaceMap,
     T,
     application_slot,
@@ -17,7 +16,7 @@ from dsvs import (
     parse_type,
     signature_of,
 )
-from dsvs import semtypes as semtypes_module
+from dsvs.tensor import Signature, Space
 
 W = Space("W", ("w1", "w2", "w3"))
 S = Space("S", ("yes", "no"))

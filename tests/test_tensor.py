@@ -19,23 +19,23 @@ from dsvs import (
     DuplicateSlot,
     EmptyList,
     EmptySignature,
-    Signature,
     SignatureMismatch,
     SlotOutOfRange,
-    Space,
-    SpaceMap,
     SpaceMismatch,
-    Tensor,
-    TensorTuple,
     compile_root,
-    contract,
-    direct_sum,
     fixture_path,
     load_lexicon,
-    mu,
     parse_sequence,
-    parse_type,
-    signature_of,
+)
+from dsvs.semtypes import SpaceMap, parse_type, signature_of
+from dsvs.tensor import (
+    Signature,
+    Space,
+    Tensor,
+    TensorTuple,
+    contract,
+    direct_sum,
+    mu,
     sum_tensors,
     unit_tensor,
 )
@@ -207,7 +207,7 @@ def test_a_list_holding_itself_is_refused(branches):
 def test_a_list_holding_itself_is_refused_without_hanging():
     # in a child process, so that a build that never returns fails the test
     code = """if True:
-        from dsvs import Signature, Space, Tensor
+        from dsvs.tensor import Signature, Space, Tensor
         A = Space("A", ("a", "b"))
         held = []
         held.append(held)
