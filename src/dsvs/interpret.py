@@ -43,6 +43,17 @@ that turns a root vector into a score.  disambiguate orders a state's live
 candidates by ratio, ties in discovery order, and expect scores each
 sense of a candidate next word by the parse disambiguate would rank first
 among those the sense yields, then orders the words by that score.
+
+expect grows each live candidate once per sense type (parser.grow_by_type),
+and the senses of a type differ only in the tensor at one node of the
+grown tree.  Contraction and mu are multilinear, so the root is linear in
+that node's value: on an integer lexicon the group's tensors are stacked
+on a batch slot (tensor.stack), put at that node, and one saturate and
+one compile_root value them all, member k's root in column k.  int64
+arithmetic gives every column the bits of that sense valued alone.  A
+float lexicon values each sense on its own tree instead: a stacked float
+contraction is one product of another shape, whose sums may round
+differently in the last bits.
 """
 
 from __future__ import annotations
@@ -52,14 +63,22 @@ from math import inf, prod
 from typing import NamedTuple
 
 from .errors import NoInhabitants, NonFiniteEntry, SignatureMismatch
-from .lexicon import Lexicon
-from .parser import ParseState, Tree, advance_with_senses, evaluate
+from .lexicon import Lexicon, group_by_type
+from .parser import (
+    ParseState,
+    Tree,
+    evaluate,
+    grow_by_type,
+    place,
+    saturate,
+)
 from .semtypes import E, T, application_slot, fn, signature_of
 from .tensor import (
     Signature,
     Tensor,
     TensorTuple,
     contract,
+    stack,
     sum_tensors,
     unit_tensor,
 )
@@ -278,7 +297,8 @@ class PlausibilityScore(NamedTuple):
 def plausibility(vector) -> PlausibilityScore:
     """Score a sentence-space value; tuples collapse by entrywise sum.
 
-    Every score is built here.  The value must be a vector over a
+    Every score is built by _score, here or for the columns of a stacked
+    root (_member_scores).  The value must be a vector over a
     two-point space, else SignatureMismatch; a float total top + bottom
     that overflows raises NonFiniteEntry.  A zero total scores 0.5.
     """
@@ -289,11 +309,26 @@ def plausibility(vector) -> PlausibilityScore:
             f"plausibility needs a vector over a two-point space, got "
             f"{vector.signature!r}"
         )
-    top, bottom = vector.tolist()
+    return _score(*vector.tolist())
+
+
+def _score(top, bottom) -> PlausibilityScore:
     total = top + bottom
     if abs(total) == inf:  # two finite floats can overflow; ints cannot
         raise NonFiniteEntry(f"plausibility total {top} + {bottom} is not a finite number")
     return PlausibilityScore(top, bottom, 0.5 if total == 0 else top / total)
+
+
+def _member_scores(root, members: int) -> list[PlausibilityScore]:
+    """The score of each of members stacked values of a root: one per
+    column of a root with a batch slot, else the root's one score for
+    every member, as a root that does not depend on the stacked node
+    gives each the same value."""
+    if isinstance(root, TensorTuple):
+        root = root.collapse()
+    if len(root.signature) == 1:
+        return [plausibility(root)] * members
+    return [_score(top, bottom) for top, bottom in zip(*root.tolist())]
 
 
 def score_candidate(candidate, lexicon: Lexicon, strategy: str = "sum") -> PlausibilityScore:
@@ -329,27 +364,56 @@ class ExpectEntry(NamedTuple):
 def expect(state: ParseState, words, lexicon: Lexicon, strategy: str = "sum") -> list[ExpectEntry]:
     """Rank candidate next words by the plausibility of what would follow.
 
-    The senses of all words are grown from every live candidate in one
-    advance_with_senses call; a sense's score is that of the first parse
-    disambiguate ranks among those it yields: the best ratio, the
-    earliest found among ties.
-    Words or senses that nothing accepts come back with score None, after
-    all scored entries.  An unknown strategy raises ValueError, whether
-    or not any word is scored.
+    A sense's score is that of the first parse disambiguate ranks among
+    those it yields: the best ratio, the earliest found among ties (see
+    _best_scores).  Words or senses that nothing accepts come back with
+    score None, after all scored entries.  An unknown strategy raises
+    ValueError, whether or not any word is scored.
     """
     _check_strategy(strategy)
     looked = [(word, lexicon.lookup(word)) for word in words]
-    successors = iter(advance_with_senses(state, [s for _, senses in looked for s in senses]))
+    best = iter(_best_scores(state, [s for _, senses in looked for s in senses], lexicon, strategy))
     scored: list[ExpectEntry] = []
     dead: list[ExpectEntry] = []
     for word, senses in looked:
         if not senses:
             dead.append(ExpectEntry(word, None, None))
-        for sense, survivors in zip(senses, successors):
-            if not survivors:
-                dead.append(ExpectEntry(word, sense.sense_id, None))
-                continue
-            best = disambiguate(ParseState(tuple(survivors)), lexicon, strategy)[0][1]
-            scored.append(ExpectEntry(word, sense.sense_id, best))
+        for sense, score in zip(senses, best):
+            (dead if score is None else scored).append(ExpectEntry(word, sense.sense_id, score))
     scored.sort(key=lambda e: -e.score.ratio)
     return scored + dead
+
+
+def _best_scores(state: ParseState, senses, lexicon: Lexicon, strategy: str) -> list:
+    """Each sense's best score over the live candidates, the first of the
+    best ratio in candidate order, or None where no candidate grows.
+
+    The senses are grouped by type and each candidate grows once per
+    group (grow_by_type).  On an integer lexicon a group of several
+    senses is valued by one saturate and one compile_root, its tensors
+    stacked at the node that holds them (parser.place); the stack is
+    built once per group, when the group first grows.  On any other
+    lexicon each sense is saturated and compiled on its own copy, as
+    advance_with_senses grows it.  A link group or a group of one is
+    valued on the grown tree itself.
+    """
+    groups = group_by_type(senses)
+    stacked: dict = {}  # a group's first position -> its stacked tensors
+    best: list = [None] * len(senses)
+    for _, group, site, grown in grow_by_type(state.candidates, senses, groups):
+        first = group[0]
+        if len(group) == 1 or senses[first].is_link:
+            scores = _member_scores(compile_root(saturate(grown), lexicon, strategy), len(group))
+        elif lexicon.integer:
+            formula = stacked.get(first)
+            if formula is None:
+                formula = stacked[first] = stack([senses[k].tensor for k in group])
+            root = compile_root(saturate(place(site, grown, formula)), lexicon, strategy)
+            scores = _member_scores(root, len(group))
+        else:
+            trees = [grown] + [place(site, grown, senses[k].tensor) for k in group[1:]]
+            scores = [plausibility(compile_root(saturate(t), lexicon, strategy)) for t in trees]
+        for k, score in zip(group, scores):
+            if best[k] is None or score.ratio > best[k].ratio:
+                best[k] = score
+    return best

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 
@@ -183,6 +184,8 @@ def build_verb_matrix(
 
 LINK_TYPE = "link"
 
+_ONE_GROUP = ((0,),)
+
 
 @dataclass(frozen=True)
 class Sense:
@@ -221,6 +224,17 @@ class Sense:
         return self.sem_type is None
 
 
+def group_by_type(senses) -> tuple[tuple[int, ...], ...]:
+    """Positions in senses grouped by sense type, link senses as one
+    group: groups in order of their first member, members in order."""
+    if len(senses) == 1:
+        return _ONE_GROUP
+    groups: dict[SemType | None, list[int]] = {}
+    for k, s in enumerate(senses):
+        groups.setdefault(s.sem_type, []).append(k)
+    return tuple(map(tuple, groups.values()))
+
+
 def _check_space_map(smap: SpaceMap) -> None:
     """Refuse a space map that cannot be scored, with ValidationError.
 
@@ -256,6 +270,7 @@ class Lexicon:
     space_map: SpaceMap
     senses: tuple[Sense, ...]
     _by_surface: dict = field(init=False, repr=False, compare=False)
+    _groups: dict = field(init=False, repr=False, compare=False)
     stand_ins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -302,11 +317,24 @@ class Lexicon:
             raise ValidationError(f"sense {s.sense_id!r}: surface {surface!r} is not "
                                   f"a token; a sentence reads it as {read}")
         object.__setattr__(self, "_by_surface", index)
+        object.__setattr__(self, "_groups", {w: group_by_type(ss) for w, ss in index.items()})
 
     def lookup(self, surface: str) -> list[Sense]:
         """All senses reachable from a surface token, each once, in
         declaration order."""
         return list(self._by_surface.get(surface, []))
+
+    def type_groups(self, surface: str) -> tuple[tuple[int, ...], ...]:
+        """group_by_type(lookup(surface)), grouped once, when the lexicon
+        is built."""
+        return self._groups.get(surface, ())
+
+    @cached_property
+    def integer(self) -> bool:
+        """Is every tensor of the lexicon int64?  Then so is every value
+        computed from it, and int64 sums and products give the same bits
+        in any order and in any array shape."""
+        return all(s.tensor.array.dtype.kind == "i" for s in self.senses if s.tensor is not None)
 
     def sense(self, sense_id: str) -> Sense:
         for s in self.senses:

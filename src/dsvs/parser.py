@@ -34,7 +34,9 @@ A parse never walks that list.  Travel up meets propositions, functors and
 hosts, and travel down enters open subtrees only, so a link sense can act
 only on the entity the pointer rests on, and any other sense only at
 canonical_view's open slot: each candidate forks at most once per sense,
-and grows once per sense type (advance_with_senses).
+and grows once per sense type (grow_by_type), which advance_with_senses,
+parse_word and interpret.expect all grow through.  A lexicon groups each
+word's senses by type once, when it indexes them (Lexicon.type_groups).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DeadEnd, LexiconMiss
-from .lexicon import Lexicon, Sense
+from .lexicon import Lexicon, Sense, group_by_type
 from .semtypes import E, SemType, T, application_slot, fn
 from .tensor import Tensor, contract, mu
 
@@ -257,7 +259,8 @@ def canonical_view(tree: Tree) -> Tree:
     on a requirement leaf it stays and reads no flags.  Travel never climbs
     past an incomplete node and words fill a clause's slots in order, so
     this is the only leaf travel can reach, the first in depth-first order.
-    Traces display this form.
+    Traces display this form.  A predicted tree whose pointer already
+    rests there comes back itself, not as a copy.
     """
     t = _predict(tree)
     nodes, i = t.nodes, t.pointer
@@ -266,7 +269,7 @@ def canonical_view(tree: Tree) -> Tree:
     while not (n.requirement and n.is_leaf) and t.open[i]:
         i = next(c for c in (n.argument, n.functor, n.link) if c is not None and t.open[c])
         n = nodes[i]
-    return t.with_pointer(i)
+    return t if i == t.pointer else t.with_pointer(i)
 
 
 # ---------------------------------------------------------------------------
@@ -373,62 +376,88 @@ def advance_with_sense(state: ParseState, sense: Sense) -> list[Candidate]:
     return advance_with_senses(state, (sense,))[0]
 
 
-def advance_with_senses(state: ParseState, senses) -> list[list[Candidate]]:
+def grow_by_type(candidates, senses, groups):
+    """How each group of senses grows each candidate, each group tried at
+    one site.
+
+    groups lists positions in senses; the senses of a group share a type,
+    or are all link senses.  Whether a sense applies, and the tree it
+    grows, depend only on its type, and apply_link ignores the sense, so a
+    candidate is grown once per group, by the group's first sense: a link
+    group where the pointer rests, any other at canonical_view's slot,
+    viewed once for all groups.  Yields (candidate, group, site, grown
+    tree) for each group that applies, candidate by candidate, groups in
+    order.  Nothing is saturated.
+    """
+    for cand in candidates:
+        tree, view = cand.tree, None  # view: canonical_view(tree), on first need
+        for group in groups:
+            first = senses[group[0]]
+            site = tree if first.sem_type is None else (view := view or canonical_view(tree))
+            grown = apply_lexical(site, first)
+            if grown is not None:
+                yield cand, group, site, grown
+
+
+def place(site: Tree, grown: Tree, formula: Tensor) -> Tree:
+    """A copy of grown, the tree a sense of some type grew from site, with
+    formula at the one node that holds that sense's tensor: the decorated
+    leaf or the grown functor daughter.  It is what another sense of the
+    type grows, formula its tensor, or a stack of such tensors; the copy
+    shares grown's open flags.
+    """
+    # _sprout appends the functor daughter last; a decorated leaf keeps the pointer
+    held = len(grown.nodes) - 1 if len(grown.nodes) > len(site.nodes) else grown.pointer
+    tree = grown.with_node(held, grown.nodes[held]._replace(formula=formula))
+    tree.__dict__["open"] = grown.open
+    return tree
+
+
+def advance_with_senses(state: ParseState, senses, groups=None) -> list[list[Candidate]]:
     """Successors of every candidate under each sense, one list per sense,
     in order, each sense tried at one site: a link sense where the pointer
     rests, any other at canonical_view's.
 
-    Whether a sense applies, and the tree it grows, depend only on its
-    type, and apply_link ignores the sense, so each candidate is viewed
-    once and grown once per type, link senses as one group.  Every further
-    sense of a type gets a copy of the group's grown tree with its own
-    tensor at the one node that holds it, the decorated leaf or the grown
-    functor daughter, and the grown tree's open flags; each tree is then
-    saturated.  Every contraction keeps the operands and order it has when
-    the sense is grown alone.
+    Senses are grouped by type, link senses as one group, unless groups
+    gives that grouping (as Lexicon.type_groups does), and each candidate
+    grows once per group (grow_by_type).  Every further sense of a type
+    gets a copy of the group's grown tree with its own tensor at the node
+    that holds it (place); each tree is then saturated.  Every
+    contraction keeps the operands and order it has when the sense is
+    grown alone.
     """
-    groups: dict[SemType | None, list[int]] = {}
-    out: list[list[Candidate]] = []
-    for k, sense in enumerate(senses):
-        groups.setdefault(sense.sem_type, []).append(k)
-        out.append([])
-    for cand in state.candidates:
-        view = None  # canonical_view(cand.tree), on first need
-        for ty, members in groups.items():
-            if ty is None:
-                site = cand.tree
-            else:
-                site = view = view or canonical_view(cand.tree)
-            first = members[0]
-            grown = apply_lexical(site, senses[first])
-            if grown is None:
-                continue
-            out[first].append(Candidate(saturate(grown), cand.senses + (senses[first].sense_id,)))
-            if len(members) > 1:
-                # _sprout appends the functor daughter last; a decorated leaf keeps the pointer
-                held = len(grown.nodes) - 1 if len(grown.nodes) > len(site.nodes) else grown.pointer
-                for k in members[1:]:
-                    tree = grown
-                    if ty is not None:
-                        tree = grown.with_node(held, grown.nodes[held]._replace(formula=senses[k].tensor))
-                        tree.__dict__["open"] = grown.open
-                    out[k].append(Candidate(saturate(tree), cand.senses + (senses[k].sense_id,)))
+    if groups is None:
+        groups = group_by_type(senses)
+    out: list[list[Candidate]] = [[] for _ in senses]
+    for cand, group, site, grown in grow_by_type(state.candidates, senses, groups):
+        first = group[0]
+        out[first].append(Candidate(saturate(grown), cand.senses + (senses[first].sense_id,)))
+        for k in group[1:]:
+            tree = grown if senses[k].sem_type is None else place(site, grown, senses[k].tensor)
+            out[k].append(Candidate(saturate(tree), cand.senses + (senses[k].sense_id,)))
     return out
 
 
 def parse_word(state: ParseState, word: str, lexicon: Lexicon) -> ParseState:
     """Consume one token, forking candidates over its senses.
 
-    Raises LexiconMiss for an unknown token and DeadEnd when no candidate
+    The senses are grown as advance_with_senses grows them, grouped by
+    type as the lexicon grouped them when it indexed them; the one sense
+    of a word that has one is grown by grow_by_type directly.  Raises
+    LexiconMiss for an unknown token and DeadEnd when no candidate
     survives; both carry the 1-based token position.
     """
     position = len(state.consumed) + 1
     senses = lexicon.lookup(word)
     if not senses:
         raise LexiconMiss(word, position)
-    survivors: list[Candidate] = []
-    for grown in advance_with_senses(state, senses):
-        survivors += grown
+    if len(senses) == 1:  # most words: no list per sense to fill and join
+        sid = (senses[0].sense_id,)
+        survivors = [Candidate(saturate(grown), cand.senses + sid)
+                     for cand, _, _, grown in grow_by_type(state.candidates, senses, ((0,),))]
+    else:
+        grown = advance_with_senses(state, senses, lexicon.type_groups(word))
+        survivors = [c for cands in grown for c in cands]
     if not survivors:
         raise DeadEnd(word, position)
     return ParseState(tuple(survivors), state.consumed + (word,))

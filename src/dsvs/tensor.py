@@ -36,6 +36,19 @@ exactly as numpy's tensordot lowers it, so results are bit for bit those
 of tensordot.  Pairs are checked when a plan is made; an invalid pair
 list is never stored.
 
+A Batch is a space that marks a slot of stacked alternatives: stack puts
+tensors of one signature side by side on a trailing Batch slot, and mu
+multiplies a tensor with each stacked value when the other signature is
+its own with such a slot; any other difference of signatures is refused
+as before.  contract needs nothing new: it keeps unpaired slots in order,
+so a Batch slot last in an operand stays last whenever the other operand
+keeps no slot after it, as an entity argument keeps none.  A Batch never
+equals a Space, so it is never paired.  Entrywise products are exact per
+entry, so mu of a stacked value gives the bits of mu of that value alone,
+float or int; a contraction of a stack is one np.dot of another shape,
+whose float sums may round otherwise, so interpret stacks int64 values
+only.
+
 A TensorTuple is always built with its sum, so it never adds up its
 components itself: interpret knows each sum before it builds a tuple, and
 direct_sum, the one place that adds a list of tensors up into a tuple,
@@ -106,6 +119,23 @@ class Space:
 
     def __repr__(self):
         return f"Space({self.name!r}, dim={self.dim})"
+
+
+class Batch(Space):
+    """A space whose basis vectors index alternative values of one tensor.
+
+    A tensor with a trailing Batch slot of n labels holds n values of the
+    signature before that slot, value k at label k; stack builds one.
+    Labels are positions ("0", "1", ...), so batches of one size are
+    equal and share contraction plans.  A Batch equals only a Batch, never
+    a Space of the same name and labels, so a batch slot is never paired.
+    """
+
+    def __reduce__(self):
+        return Batch, (self.name, self.basis)
+
+    def __repr__(self):
+        return f"Batch({self.name!r}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -441,6 +471,43 @@ def direct_sum(tensors: list[Tensor]) -> TensorTuple:
     return TensorTuple(tensors, sum_tensors(tensors))
 
 
+# stacked signatures and their axis orders by (signature, size); all are
+# dropped when _MAX_PLANS are kept and one more is made, as plans are
+_STACKED: dict = {}
+
+
+def stack(tensors: list[Tensor]) -> Tensor:
+    """One or more tensors over a common signature as one tensor with a
+    trailing Batch slot, tensor k at label k.
+
+    Entries are copied, not computed; a stack of int and float tensors is
+    float, as numpy makes it.  The stacked signature is built once per
+    signature and size, so stacks of one size share contraction plans.
+    """
+    if not tensors:
+        raise EmptyList("cannot stack zero tensors")
+    sig = tensors[0].signature
+    for i, t in enumerate(tensors[1:], start=1):
+        if t.signature is not sig and t.signature != sig:
+            raise SignatureMismatch(
+                f"operand {i} has signature {t.signature!r}, expected {sig!r}"
+            )
+    key = (sig, len(tensors))
+    try:
+        stacked, axes = _STACKED[key]
+    except KeyError:
+        if len(_STACKED) >= _MAX_PLANS:
+            _STACKED.clear()
+        batch = Batch("batch", tuple(map(str, range(len(tensors)))))
+        stacked, axes = _STACKED[key] = (Signature(sig.spaces + (batch,)),
+                                         (*range(1, len(sig) + 1), 0))
+    # one copy with the values first, read through a view that puts them
+    # last; the copy is read-only, so the view is too
+    arr = np.array([t.array for t in tensors])
+    arr.setflags(write=False)
+    return _result(stacked, arr.transpose(axes))
+
+
 def unit_tensor(signature: Signature) -> Tensor:
     """The all-ones tensor over a signature (must name at least one space)."""
     if len(signature) == 0:
@@ -448,14 +515,30 @@ def unit_tensor(signature: Signature) -> Tensor:
     return Tensor(signature, np.ones(signature.dims, dtype=np.int64))
 
 
+def _batch_of(short: Signature, long: Signature) -> bool:
+    """Is long short with one trailing Batch slot?"""
+    return (len(long) == len(short) + 1 and isinstance(long[-1], Batch)
+            and long.spaces[:-1] == short.spaces)
+
+
 def mu(a: Tensor, b: Tensor) -> Tensor:
     """Entrywise (Hadamard) product of two tensors over one signature.
 
-    Commutative and associative, with the all-ones tensor as unit.
+    Commutative and associative, with the all-ones tensor as unit.  When
+    one signature is the other with a trailing Batch slot, the other
+    tensor multiplies each stacked value: value k of the result is the
+    product with value k, entry for entry as mu of that value alone.  Any
+    other difference of signatures raises SignatureMismatch.
     """
-    if a.signature is not b.signature and a.signature != b.signature:
-        raise SignatureMismatch(
-            f"entrywise product needs equal signatures, got {a.signature!r} "
-            f"and {b.signature!r}"
-        )
-    return _result(a.signature, _apply(np.multiply, a.array, b.array))
+    sa, sb = a.signature, b.signature
+    x, y = a.array, b.array
+    if sa is not sb and sa != sb:
+        if _batch_of(sa, sb):
+            x, sa = x[..., None], sb
+        elif _batch_of(sb, sa):
+            y = y[..., None]
+        else:
+            raise SignatureMismatch(
+                f"entrywise product needs equal signatures, got {sa!r} and {sb!r}"
+            )
+    return _result(sa, _apply(np.multiply, x, y))

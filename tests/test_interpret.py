@@ -39,6 +39,7 @@ from dsvs.tensor import (
     TensorTuple,
     contract,
     direct_sum,
+    stack,
     unit_tensor,
 )
 
@@ -642,3 +643,92 @@ def test_expect_grows_each_candidate_once_per_sense_type(name, monkeypatch):
         assert calls["canonical_view"] - before["canonical_view"] <= live
         assert calls["apply_lexical"] - before["apply_lexical"] <= live * types
         assert calls["open"] - before["open"] <= live * types
+
+
+@pytest.mark.parametrize("name", ["paper_s4", "split_senses", "traces"])
+def test_expect_on_integer_lexicons_is_the_per_sense_loop(name):
+    # each type group is valued at once, stacked; every column keeps the
+    # integers that valuing its sense alone gives
+    lex = load_lexicon(fixture_path(name))
+    assert lex.integer
+    states, vocabulary = live_prefixes(lex, 3)
+    words = vocabulary + ["zebra"]
+    for strategy in ("unit", "sum", "direct_sum"):
+        for state in states:
+            want = oracles.expect_per_sense(state, words, lex, strategy,
+                                            parser_module, interpret_module)
+            assert repr(expect(state, words, lex, strategy)) == repr(want), state.consumed
+
+
+@pytest.mark.parametrize("name", ["paper_s4", "split_senses", "traces"])
+def test_expect_saturates_and_compiles_once_per_candidate_and_sense_type(name, monkeypatch):
+    lex = load_lexicon(fixture_path(name))
+    states, vocabulary = live_prefixes(lex, 3)
+    calls = {"saturate": 0, "compile_root": 0, "grown": 0}
+
+    def counted(fn, key):
+        def counting(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counting
+
+    def counting_hits(tree, sense):
+        grown = apply_lexical(tree, sense)
+        calls["grown"] += grown is not None
+        return grown
+
+    apply_lexical = parser_module.apply_lexical
+    monkeypatch.setattr(parser_module, "apply_lexical", counting_hits)
+    counting_saturate = counted(saturate, "saturate")
+    monkeypatch.setattr(parser_module, "saturate", counting_saturate)
+    monkeypatch.setattr(interpret_module, "saturate", counting_saturate, raising=False)
+    monkeypatch.setattr(interpret_module, "compile_root", counted(compile_root, "compile_root"))
+    stacked = 0
+    for state in states:
+        before = dict(calls)
+        entries = expect(state, vocabulary, lex)
+        grown = calls["grown"] - before["grown"]
+        assert calls["saturate"] - before["saturate"] == grown, state.consumed
+        assert calls["compile_root"] - before["compile_root"] == grown, state.consumed
+        stacked += grown < sum(e.score is not None for e in entries)
+    assert stacked  # some group of several senses grew: a pass per sense counts more
+
+
+def test_expect_gives_every_sense_of_a_group_in_an_unfinished_adjunct_one_score(
+        split_lex, monkeypatch):
+    # after "footballers who", a two-place verb opens the relative clause's
+    # object slot; an unfinished clause folds into nothing, so the root does
+    # not depend on the stacked verbs and each takes the root's one score
+    st = parse_sequence("footballers who".split(), split_lex)
+    sizes = []
+    monkeypatch.setattr(interpret_module, "stack",
+                        lambda tensors: sizes.append(len(tensors)) or stack(tensors))
+    got = expect(st, ["dribble", "control"], split_lex)
+    assert sizes == [2]
+    scores = {e.sense_id: e.score for e in got}
+    assert scores["dribble#control"] == scores["control#v"] == score_candidate(
+        st.candidates[0], split_lex)
+    assert scores["dribble#drip"] != scores["control#v"]
+    want = oracles.expect_per_sense(st, ["dribble", "control"], split_lex, "sum",
+                                    parser_module, interpret_module)
+    assert repr(got) == repr(want)
+
+
+def test_expect_on_a_lexicon_with_one_float_sense_values_each_sense_alone(base_lex, monkeypatch):
+    lex = Lexicon(base_lex.space_map, tuple(
+        replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))
+        if s.sense_id == "vomit#v" else s
+        for s in base_lex.senses
+    ))
+    assert base_lex.integer and not lex.integer
+
+    def refuse(tensors):
+        raise AssertionError("a float lexicon is valued sense by sense")
+
+    monkeypatch.setattr(interpret_module, "stack", refuse)
+    states, vocabulary = live_prefixes(lex, 3)
+    for strategy in ("unit", "sum", "direct_sum"):
+        for state in states:
+            want = oracles.expect_per_sense(state, vocabulary, lex, strategy,
+                                            parser_module, interpret_module)
+            assert repr(expect(state, vocabulary, lex, strategy)) == repr(want), state.consumed

@@ -65,6 +65,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+import dsvs.interpret
 import dsvs.parser
 import dsvs.tensor
 from dsvs import (
@@ -76,6 +77,7 @@ from dsvs import (
     SpaceMismatch,
     compile_root,
     disambiguate,
+    expect,
     fixture_path,
     initial_state,
     load_lexicon,
@@ -570,6 +572,30 @@ def test_senses_at_once_grow_what_each_sense_grows_on_random_lexicons(drawn):
         except DeadEnd:
             return
         _check_senses_at_once(state, lex)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.one_of(random_lexicons(), relative_clause_walks()), st.data())
+def test_expect_values_stacked_senses_as_each_sense_alone_on_random_lexicons(drawn, data):
+    # random lexicons are integer, so expect values each type group stacked;
+    # the candidates name every word of every type, some twice, and a
+    # word no sense has, in a drawn order
+    lex, words = drawn
+    assert lex.integer
+    vocabulary = sorted({s.word for s in lex.senses})
+    repeats = data.draw(st.lists(st.sampled_from(vocabulary), max_size=4))
+    candidates = data.draw(st.permutations(vocabulary + repeats + ["zebra"]))
+    state = initial_state()
+    for word in [None, *words]:
+        if word is not None:
+            try:
+                state = parse_word(state, word, lex)
+            except DeadEnd:
+                return
+        for strategy in STRATEGIES:
+            want = oracles.expect_per_sense(state, candidates, lex, strategy,
+                                            dsvs.parser, dsvs.interpret)
+            assert repr(expect(state, candidates, lex, strategy)) == repr(want), state.consumed
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -4,6 +4,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -29,6 +30,7 @@ from dsvs import (
 )
 from dsvs.semtypes import SpaceMap, parse_type, signature_of
 from dsvs.tensor import (
+    Batch,
     Signature,
     Space,
     Tensor,
@@ -36,6 +38,7 @@ from dsvs.tensor import (
     contract,
     direct_sum,
     mu,
+    stack,
     sum_tensors,
     unit_tensor,
 )
@@ -369,6 +372,100 @@ def test_mu_laws():
         assert mu(x, y).tolist() == oracles.mul_lists(x.tolist(), y.tolist())
     with pytest.raises(SignatureMismatch):
         mu(u, unit_tensor(Signature((A,))))
+
+
+def column(t, k):
+    """Value k of a stacked tensor, as a tensor of the signature before
+    its batch slot."""
+    return Tensor(Signature(t.signature.spaces[:-1]), t.array[..., k])
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_mu_broadcasts_over_a_batch_slot_as_mu_of_each_value(floats):
+    rng = random.Random(7)
+    sig = Signature((A, B))
+    for _ in range(20):
+        x = rand_tensor(rng, sig)
+        values = [rand_tensor(rng, sig) for _ in range(rng.randint(1, 4))]
+        if floats:
+            x = Tensor(sig, x.array * 1.1 + 0.3)
+            values = [Tensor(sig, v.array / 7 - 0.2) for v in values]
+        stacked = stack(values)
+        assert stacked.signature == Signature((A, B, stacked.signature[-1]))
+        for got in (mu(x, stacked), mu(stacked, x)):
+            assert got.signature == stacked.signature
+            assert got.array.dtype == stacked.array.dtype
+            for k, v in enumerate(values):
+                assert column(got, k).array.tobytes() == mu(x, v).array.tobytes()
+        assert mu(stacked, stacked) == stack([mu(v, v) for v in values])
+
+
+def test_mu_refuses_any_other_difference_of_signatures():
+    x = unit_tensor(Signature((A, B)))
+    batch = stack([x, x]).signature[-1]
+    unmarked = Space(batch.name, batch.basis)  # the batch's name and labels, unmarked
+    for other in (
+        Signature((A,)),
+        Signature((A, B, unmarked)),
+        Signature((A, batch, B)),
+        Signature((batch, A, B)),
+        Signature((A, B, batch, batch)),
+        Signature((A, C, batch)),
+    ):
+        for a, b in ((x, unit_tensor(other)), (unit_tensor(other), x)):
+            with pytest.raises(SignatureMismatch, match=re.escape(
+                    f"entrywise product needs equal signatures, got "
+                    f"{a.signature!r} and {b.signature!r}")):
+                mu(a, b)
+    with pytest.raises(SignatureMismatch):
+        mu(stack([x, x]), stack([x, x, x]))
+
+
+def test_a_batch_slot_is_a_space_of_its_own():
+    batch = stack([unit_tensor(Signature((A,)))] * 3).signature[-1]
+    assert isinstance(batch, Batch) and batch.basis == ("0", "1", "2")
+    assert batch != Space(batch.name, batch.basis)
+    assert Batch(batch.name, batch.basis) == batch
+    for again in (copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
+        assert type(again) is Batch and again == batch and hash(again) == hash(batch)
+    with pytest.raises(SpaceMismatch):
+        contract(unit_tensor(Signature((Space(batch.name, batch.basis),))),
+                 unit_tensor(Signature((batch,))), [(0, 0)])
+
+
+def test_a_stack_keeps_each_value_and_is_read_only():
+    rng = random.Random(3)
+    sig = Signature((A, B))
+    values = [rand_tensor(rng, sig) for _ in range(3)]
+    stacked = stack(values)
+    assert [column(stacked, k) for k in range(3)] == values
+    assert stack(values).signature is stacked.signature  # built once per size
+    assert not stacked.array.flags.writeable
+    with pytest.raises(ValueError):
+        stacked.array[0, 0, 0] = 1
+    floats = [Tensor(sig, v.array * 0.5) for v in values]
+    assert stack(floats).array.dtype == np.float64
+    assert [column(stack(floats), k) for k in range(3)] == floats
+    with pytest.raises(SignatureMismatch):
+        stack([values[0], unit_tensor(Signature((B, A)))])
+    with pytest.raises(EmptyList):
+        stack([])
+
+
+def test_contract_carries_a_trailing_batch_slot():
+    # a batch slot that is never paired stays last: on the right operand
+    # after the left's kept slots, on the left one after its own
+    rng = random.Random(5)
+    values = [rand_tensor(rng, Signature((C,))) for _ in range(4)]
+    for left, pairs in ((rand_tensor(rng, Signature((A, B, C))), [(2, 0)]),
+                        (rand_tensor(rng, Signature((C, B))), [(0, 0)])):
+        got = contract(left, stack(values), pairs)
+        assert isinstance(got.signature[-1], Batch)
+        assert [column(got, k) for k in range(4)] == [contract(left, v, pairs) for v in values]
+    functors = [rand_tensor(rng, Signature((C, A))) for _ in range(3)]
+    right = rand_tensor(rng, Signature((C,)))
+    got = contract(stack(functors), right, [(0, 0)])
+    assert [column(got, k) for k in range(3)] == [contract(f, right, [(0, 0)]) for f in functors]
 
 
 def test_a_uint64_array_beyond_int64_is_refused_not_wrapped():
