@@ -100,18 +100,14 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     its item is read, and Inventory.total gives the sum of every item in
     closed form.
     """
-    direct, functions, entities = [], [], []
     smap = lexicon.space_map
-    for s in lexicon.senses:
-        if s.tensor is None:
-            continue
-        if s.sem_type is E:
-            entities.append(s)
-        elif s.sem_type.is_function and signature_of(s.sem_type.res, smap) == signature:
-            functions.append(s)
-        if s.tensor.signature == signature:
-            direct.append((s.sense_id, s.tensor))
-    return Inventory(tuple(direct), tuple(functions), tuple(entities))
+    direct, functions = (), ()
+    for ty in lexicon.types:
+        if signature_of(ty, smap) == signature:
+            direct = tuple((s.sense_id, s.tensor) for s in lexicon.senses_of(ty))
+        elif ty.is_function and signature_of(ty.res, smap) == signature:
+            functions = lexicon.senses_of(ty)
+    return Inventory(direct, functions, lexicon.senses_of(E))
 
 
 class _Lazy(Sequence):
@@ -227,7 +223,7 @@ def require_stand_ins(lexicon: Lexicon, strategy: str) -> None:
     _check_strategy(strategy)
     if strategy == "unit":
         return
-    types = {s.sem_type for s in lexicon.senses}
+    types = set(lexicon.types)
     for tau in (T, E, fn(E, T)):
         # for e the second test stops at E in types: no function returns e
         if tau not in types and not (E in types and fn(E, tau) in types):

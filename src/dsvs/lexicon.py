@@ -50,9 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCorpus, ParseError, ValidationError
+from .errors import DsvsError, EmptyCorpus, ParseError, ValidationError
 from .semtypes import SemType, SpaceMap, parse_type, signature_of
-from .tensor import Signature, Space, Tensor
+from .tensor import Signature, Space, Tensor, tensors_of
 
 TOP = "⊤"
 BOTTOM = "⊥"
@@ -271,6 +271,7 @@ class Lexicon:
     senses: tuple[Sense, ...]
     _by_surface: dict = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
+    _by_type: dict = field(init=False, repr=False, compare=False)
     stand_ins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -280,6 +281,7 @@ class Lexicon:
         _check_space_map(self.space_map)
         seen = set()
         signatures = {}  # each distinct type's signature, resolved once
+        by_type: dict[SemType, list[Sense]] = {}
         index: dict[str, list[Sense]] = {}
         # one test over every entry; each sense's own only if it fails
         arrays = [s.tensor.array.ravel() for s in self.senses if isinstance(s.tensor, Tensor)]
@@ -307,6 +309,7 @@ class Lexicon:
             if negative and (s.tensor.array < 0).any():
                 raise ValidationError(f"sense {s.sense_id!r}: negative tensor "
                                       f"entry {s.tensor.array.min().item()}")
+            by_type.setdefault(s.sem_type, []).append(s)
         # no sentence reaches a surface that tokenize does not read as
         # itself; one call over the distinct surfaces settles a lexicon
         # that passes
@@ -318,6 +321,7 @@ class Lexicon:
                                   f"a token; a sentence reads it as {read}")
         object.__setattr__(self, "_by_surface", index)
         object.__setattr__(self, "_groups", {w: group_by_type(ss) for w, ss in index.items()})
+        object.__setattr__(self, "_by_type", {ty: tuple(ss) for ty, ss in by_type.items()})
 
     def lookup(self, surface: str) -> list[Sense]:
         """All senses reachable from a surface token, each once, in
@@ -328,6 +332,17 @@ class Lexicon:
         """group_by_type(lookup(surface)), grouped once, when the lexicon
         is built."""
         return self._groups.get(surface, ())
+
+    @property
+    def types(self) -> tuple[SemType, ...]:
+        """The types of the tensor senses, each once, in order of first
+        declaration."""
+        return tuple(self._by_type)
+
+    def senses_of(self, sem_type: SemType) -> tuple[Sense, ...]:
+        """The senses of one type, in declaration order; a link sense has
+        no type, so none is listed under any."""
+        return self._by_type.get(sem_type, ())
 
     @cached_property
     def integer(self) -> bool:
@@ -361,9 +376,12 @@ def fixture_path(name: str) -> Path:
     return p
 
 
-def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
-    """One entry of 'senses'; resolved maps each type spelling already
-    met in this file to its SemType and signature, and gains this one's."""
+def _read_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> tuple:
+    """One entry of 'senses', its fields checked, as (id, word, SemType,
+    signature, tensor entries, gloss, forms), the type, signature and
+    entries None for a link sense; resolved maps each type spelling
+    already met in this file to its SemType and signature, and gains this
+    one's."""
     if not isinstance(obj, dict):
         raise ParseError(f"senses[{pos}]: expected an object")
     try:
@@ -384,7 +402,7 @@ def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
     if tyname == LINK_TYPE:
         if "tensor" in obj:
             raise ParseError(f"senses[{pos}] ({sid}): link senses carry no tensor")
-        return Sense(sid, word, None, None, gloss=gloss, forms=tuple(forms))
+        return sid, word, None, None, None, gloss, tuple(forms)
 
     if tyname not in resolved:
         try:
@@ -395,11 +413,38 @@ def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
     ty, sig = resolved[tyname]
     if "tensor" not in obj:
         raise ParseError(f"senses[{pos}] ({sid}): missing required field 'tensor'")
+    return sid, word, ty, sig, obj["tensor"], gloss, tuple(forms)
+
+
+def _parse_sense(obj, pos: int, smap: SpaceMap, resolved: dict) -> Sense:
+    """One entry of 'senses', its tensor built on its own, so that a bad
+    one is named as the sense it belongs to."""
+    sid, word, ty, sig, entries, gloss, forms = _read_sense(obj, pos, smap, resolved)
+    if ty is None:
+        return Sense(sid, word, None, None, gloss=gloss, forms=forms)
     try:
-        tensor = Tensor(sig, obj["tensor"])
+        tensor = Tensor(sig, entries)
     except (TypeError, ValueError, RecursionError) as e:
         raise ValidationError(f"sense {sid!r}: bad tensor: {e}")
-    return Sense(sid, word, ty, tensor, gloss=gloss, forms=tuple(forms))
+    return Sense(sid, word, ty, tensor, gloss=gloss, forms=forms)
+
+
+def _parse_senses(senses_obj: list, smap: SpaceMap, resolved: dict) -> list[Sense]:
+    """Every entry of 'senses', each entry's fields checked first, then
+    each type's tensors built together (tensors_of).  What fails raises
+    as it comes, not as _parse_sense names it."""
+    fields = [_read_sense(o, i, smap, resolved) for i, o in enumerate(senses_obj)]
+    by_type: dict = {}
+    for k, f in enumerate(fields):
+        if f[2] is not None:
+            by_type.setdefault(f[2], []).append(k)
+    tensors: list = [None] * len(fields)
+    for positions in by_type.values():
+        sig = fields[positions[0]][3]
+        for k, t in zip(positions, tensors_of(sig, [fields[k][4] for k in positions])):
+            tensors[k] = t
+    return [Sense(sid, word, ty, t, gloss=gloss, forms=forms)
+            for (sid, word, ty, _, _, gloss, forms), t in zip(fields, tensors)]
 
 
 def load_lexicon(path) -> Lexicon:
@@ -459,7 +504,11 @@ def load_lexicon(path) -> Lexicon:
     if not isinstance(senses_obj, list):
         raise ParseError(f"{p}: 'senses' must be an array")
     resolved: dict = {}
-    senses = [_parse_sense(o, i, smap, resolved) for i, o in enumerate(senses_obj)]
+    try:
+        senses = _parse_senses(senses_obj, smap, resolved)
+    except (DsvsError, TypeError, ValueError, RecursionError):
+        # sense by sense, so the error is the first bad sense's, in order
+        senses = [_parse_sense(o, i, smap, resolved) for i, o in enumerate(senses_obj)]
     return Lexicon(smap, tuple(senses))
 
 

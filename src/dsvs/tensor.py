@@ -198,30 +198,44 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NonFiniteEntry(f"tensor entry {arr[~finite][0]} is not a finite number")
 
 
-def _from_lists(values) -> np.ndarray:
-    """Nested lists and tuples as a new array, its entries checked.
-
-    numpy builds an object array first, finding the shape and keeping each
-    entry as given; all plain ints, or all floats, are cast from it in one
-    step.  Anything else, an int outside int64 among them, is walked by
-    _check_entries and then built by numpy from the nesting.  numpy unfolds
-    nested lists down to 64 dimensions, and a list that holds itself twice
-    would take it 2**64 steps, so a nesting whose first entries run 64
-    lists deep goes to the walk at once.
-    """
+def _depth(values) -> int:
+    """How many lists deep the first entries of a nesting run, up to 64."""
     first, depth = values, 0
     while isinstance(first, (list, tuple)) and first and depth < 64:
         first, depth = first[0], depth + 1
-    if depth < 64:
-        try:
+    return depth
+
+
+def _from_lists(values) -> np.ndarray:
+    """Nested lists and tuples as a new array, its entries checked.
+
+    A flat list of plain ints only, or of floats only, is built by numpy
+    from the list in one step.  A deeper nesting goes through an object
+    array first, numpy finding the shape and keeping each entry as given;
+    all plain ints, or all floats, are cast from it in one step.  Anything
+    else, an int outside int64 among them, is walked by _check_entries and
+    then built by numpy from the nesting.  numpy unfolds nested lists down
+    to 64 dimensions, and a list that holds itself twice would take it
+    2**64 steps, so a nesting whose first entries run 64 lists deep goes
+    to the walk at once.
+    """
+    depth = _depth(values)
+    try:
+        if depth == 1:
+            kinds = set(map(type, values))
+            if kinds == {int}:
+                return np.array(values, dtype=np.int64)
+            if kinds == {float}:
+                return np.array(values, dtype=np.float64)
+        elif depth < 64:
             entries = np.array(values, dtype=object)
-            types = set(map(type, entries.ravel()))
-            if types == {int}:
+            kinds = set(map(type, entries.ravel()))
+            if kinds == {int}:
                 return entries.astype(np.int64)
-            if types == {float}:
+            if kinds == {float}:
                 return entries.astype(np.float64)
-        except (OverflowError, ValueError):  # numpy's message comes below
-            pass
+    except (OverflowError, ValueError):  # numpy's message comes below
+        pass
     _check_entries(values)
     return np.array(values)
 
@@ -293,6 +307,46 @@ class Tensor:
         return f"Tensor({self.signature!r}, {self.array.tolist()!r})"
 
 
+def _wrap(signature: Signature, arr: np.ndarray) -> Tensor:
+    """A Tensor around a read-only array of the signature's shape that
+    this module made, with no check and no copy."""
+    t = object.__new__(Tensor)
+    t.__dict__.update(signature=signature, array=arr)
+    return t
+
+
+def tensors_of(signature: Signature, rows) -> list[Tensor]:
+    """One tensor of the signature per nested entry list in rows, each
+    equal in value and dtype to Tensor(signature, row).
+
+    The rows go through numpy together: one object array, one screen of
+    its entry types and one cast, and each tensor holds a read-only row of
+    the result.  Unless the rows are all plain ints, or all finite floats,
+    and of the signature's shape, each is built with Tensor instead, so
+    the first bad row raises what Tensor raises for it.
+    """
+    rows = list(rows)
+    shape = (len(rows), *signature.dims)
+    arr = None
+    if rows and _depth(rows) == len(shape):
+        try:
+            entries = np.array(rows, dtype=object)
+            if entries.shape == shape:
+                kinds = set(map(type, entries.ravel()))
+                if kinds == {int}:
+                    arr = entries.astype(np.int64)
+                elif kinds == {float}:
+                    arr = entries.astype(np.float64)
+                    if not np.isfinite(arr).all():
+                        arr = None
+        except (OverflowError, ValueError):  # an int outside int64, or numpy's
+            arr = None
+    if arr is None:
+        return [Tensor(signature, row) for row in rows]
+    arr.setflags(write=False)
+    return [_wrap(signature, arr[k, ...]) for k in range(len(rows))]
+
+
 class TensorTuple:
     """A non-empty ordered tuple of tensors sharing one signature.
 
@@ -346,6 +400,7 @@ class TensorTuple:
         return f"TensorTuple({len(self)} x {self.signature!r})"
 
 
+_INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
 
 
@@ -363,9 +418,7 @@ def _result(signature: Signature, arr) -> Tensor:
     if arr.dtype is _FLOAT:
         _check_finite(arr)
     arr.setflags(write=False)
-    t = object.__new__(Tensor)
-    t.__dict__.update(signature=signature, array=arr)
-    return t
+    return _wrap(signature, arr)
 
 
 def _apply(op, x: np.ndarray, y: np.ndarray):
@@ -458,9 +511,13 @@ def sum_tensors(tensors: list[Tensor]) -> Tensor:
             raise SignatureMismatch(
                 f"operand {i} has signature {t.signature!r}, expected {sig!r}"
             )
-    total = tensors[0].array
-    for t in tensors[1:]:
-        total = _apply(np.add, total, t.array)
+    arrays = [t.array for t in tensors]
+    if len(arrays) > 1 and all(a.dtype is _INT for a in arrays):
+        # int64 sums wrap alike in any order: one reduction over one copy
+        return _result(sig, np.add.reduce(np.array(arrays)))
+    total = arrays[0]
+    for a in arrays[1:]:
+        total = _apply(np.add, total, a)
     return _result(sig, total)
 
 
