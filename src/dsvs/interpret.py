@@ -15,7 +15,10 @@ formula bottom-up, with a stand-in at each requirement leaf by strategy:
 "Known tensors of a signature" means lexicon formulae of that signature
 plus every one-argument saturation of a lexicon function against a lexicon
 entity that lands in it.  known_inhabitants lists them lazily, as a
-labelled inventory whose saturations are contracted only when read.
+labelled inventory whose saturations are contracted only when read.  It
+reads them from the lexicon's per-type index: one type denotes each
+signature, and one function type returns it, so it takes three lists of
+senses, each in declaration order, and scans no other sense.
 Contraction is bilinear, so the sum stand-in needs no enumeration: it is
 the lexicon formulae plus at most one contraction, of summed functions
 against summed entities, which makes it linear in lexicon size.  A
@@ -93,7 +96,10 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     then one-argument saturations: each function sense contracted against
     each entity sense at the function's application slot, for functions
     whose result type denotes the requested signature.  Saturations are
-    labelled "function+argument".
+    labelled "function+argument".  The three lists come from
+    Lexicon.senses_of: the senses of the type that denotes the signature,
+    of the function type that returns it, and of e; finding them compares
+    the signature with each of the lexicon's types, not with each sense.
 
     The result is a read-only lazy sequence of (label, tensor) pairs:
     finding the senses contracts nothing, a saturation is contracted when

@@ -33,6 +33,13 @@ fixture_path finds each by name:
                    sense and a two-place ball-control sense.
     traces         a tiny two-property lexicon used by the trace tests.
 
+load_lexicon checks every sense's fields first, then builds each type's
+tensors together (tensor.tensors_of), so each tensor is a read-only row
+of one array per type.  If anything in that fails, the file is read again
+sense by sense, each tensor built on its own, and the error raised is
+that of the first bad sense in the file, as a load one sense at a time
+would name it.
+
 Corpus text is plain UTF-8.  Excerpts are separated by blank lines; tokens
 are whitespace-split, lowercased, and stripped of leading and trailing
 punctuation.  Counting is excerpt-level throughout: a word either occurs in
@@ -261,6 +268,11 @@ class Lexicon:
     and the entity space has another name.  Tensor entries are counts or
     weights, so none may be negative.  Every surface, word or form, is a
     token: tokenize reads it as exactly itself.
+
+    The senses are indexed once, in the pass that checks them: by surface
+    (lookup, type_groups) and by type (types, senses_of), each list in
+    declaration order, so a stand-in reads a type's senses without a scan
+    of the whole lexicon.
 
     stand_ins is derived data, not part of the lexicon's value: the
     interpreter fills it lazily with one stand-in per (signature,

@@ -7,24 +7,40 @@ throughout: a signature (W, S, W) is not the same object as (W, W, S).
 
 Integer-valued input is stored as int64 so that arithmetic on small count
 data stays exact; everything else is carried as float64; booleans,
-non-finite floats and integers outside int64 are refused.  Arrays are
-copied on construction and marked read-only, so tensors behave as values.
+non-finite floats and integers outside int64 are refused.  Tensor copies
+an array on construction and marks it read-only, so tensors behave as
+values.
 
-Entries given as nested lists or tuples, as a lexicon file gives them, go
-through numpy once as an object array: numpy finds the regular shape and
-keeps each entry the Python object it was.  When every entry is a plain
-int, or every entry a float, that array is cast to int64 or float64 in
-one step; an int outside int64 fails the cast.  Any other nesting, that
-failure included, is walked depth first before numpy builds it again, so
-the first boolean or integer outside int64 is the one named, and a list
-that holds itself is refused with RecursionError.  Arrays are copied once:
-np.array copies one given, and a cast to its own dtype copies nothing.
+Entries given as a flat list of plain ints only, or of floats only, are
+built by numpy from the list in one step.  Deeper nestings of lists or
+tuples go through numpy once as an object array: numpy finds the regular
+shape and keeps each entry the Python object it was.  When every entry is
+a plain int, or every entry a float, that array is cast to int64 or
+float64 in one step; an int outside int64 fails the cast.  Any other
+nesting, that failure included, is walked depth first before numpy builds
+it again, so the first boolean or integer outside int64 is the one named,
+and a list that holds itself is refused with RecursionError.  Arrays are
+copied once: np.array copies one given, and a cast to its own dtype
+copies nothing.
+
+tensors_of builds many tensors of one signature, as a lexicon load builds
+a type's senses: one object array of all the rows, one screen of its
+entry types and one cast, and each tensor holds a read-only row of the
+result, a view, not a copy.  Rows that are not all plain ints, or all
+finite floats, of the signature's shape are built one by one with
+Tensor, so each tensor has the value and dtype Tensor gives it, and the
+first bad row raises what Tensor raises.
 
 The results of contract, mu and sum_tensors are built by one trusted path
 instead: their arrays are fresh int64 or float64 arrays of the right shape
 by construction, so they are only marked read-only, and a float result is
 still refused unless every entry is finite.  Float overflow inside these
 operations is reported that way alone, not also as a numpy warning.
+sum_tensors adds int64 operands in one reduction over one stacked copy,
+which gives the bits of adding them one by one, as int64 sums wrap alike
+in any order; an operand that is float keeps the left-to-right adds,
+since a float reduction of eight or more values numpy sums pairwise, and
+those sums may round otherwise.
 
 contract plans each contraction once.  A plan is kept per (left signature,
 right signature, pairs), compared by value, so a reloaded lexicon reuses
@@ -206,36 +222,48 @@ def _depth(values) -> int:
     return depth
 
 
+def _cast_objects(values) -> np.ndarray | None:
+    """Nested lists as one object array, numpy finding the shape and
+    keeping each entry as given, cast to int64 when every entry is a plain
+    int or to float64 when every entry is a float; None for anything else,
+    an int outside int64 among it."""
+    try:
+        entries = np.array(values, dtype=object)
+        kinds = set(map(type, entries.ravel()))
+        if kinds == {int}:
+            return entries.astype(np.int64)
+        if kinds == {float}:
+            return entries.astype(np.float64)
+    except (OverflowError, ValueError):  # the entry is named by the walk
+        pass
+    return None
+
+
 def _from_lists(values) -> np.ndarray:
     """Nested lists and tuples as a new array, its entries checked.
 
     A flat list of plain ints only, or of floats only, is built by numpy
-    from the list in one step.  A deeper nesting goes through an object
-    array first, numpy finding the shape and keeping each entry as given;
-    all plain ints, or all floats, are cast from it in one step.  Anything
-    else, an int outside int64 among them, is walked by _check_entries and
-    then built by numpy from the nesting.  numpy unfolds nested lists down
-    to 64 dimensions, and a list that holds itself twice would take it
-    2**64 steps, so a nesting whose first entries run 64 lists deep goes
-    to the walk at once.
+    from the list in one step, a deeper nesting by _cast_objects.
+    Anything else, an int outside int64 among it, is walked by
+    _check_entries and then built by numpy from the nesting.  numpy
+    unfolds nested lists down to 64 dimensions, and a list that holds
+    itself twice would take it 2**64 steps, so a nesting whose first
+    entries run 64 lists deep goes to the walk at once.
     """
     depth = _depth(values)
-    try:
-        if depth == 1:
-            kinds = set(map(type, values))
+    if depth == 1:
+        kinds = set(map(type, values))
+        try:
             if kinds == {int}:
                 return np.array(values, dtype=np.int64)
             if kinds == {float}:
                 return np.array(values, dtype=np.float64)
-        elif depth < 64:
-            entries = np.array(values, dtype=object)
-            kinds = set(map(type, entries.ravel()))
-            if kinds == {int}:
-                return entries.astype(np.int64)
-            if kinds == {float}:
-                return entries.astype(np.float64)
-    except (OverflowError, ValueError):  # numpy's message comes below
-        pass
+        except OverflowError:  # the entry is named by the walk
+            pass
+    elif depth < 64:
+        arr = _cast_objects(values)
+        if arr is not None:
+            return arr
     _check_entries(values)
     return np.array(values)
 
@@ -327,21 +355,11 @@ def tensors_of(signature: Signature, rows) -> list[Tensor]:
     """
     rows = list(rows)
     shape = (len(rows), *signature.dims)
-    arr = None
-    if rows and _depth(rows) == len(shape):
-        try:
-            entries = np.array(rows, dtype=object)
-            if entries.shape == shape:
-                kinds = set(map(type, entries.ravel()))
-                if kinds == {int}:
-                    arr = entries.astype(np.int64)
-                elif kinds == {float}:
-                    arr = entries.astype(np.float64)
-                    if not np.isfinite(arr).all():
-                        arr = None
-        except (OverflowError, ValueError):  # an int outside int64, or numpy's
-            arr = None
-    if arr is None:
+    # first entries at the depth of the shape, so numpy never unfolds a
+    # list that holds itself (see _from_lists)
+    arr = _cast_objects(rows) if rows and _depth(rows) == len(shape) else None
+    if (arr is None or arr.shape != shape
+            or arr.dtype is _FLOAT and not np.isfinite(arr).all()):
         return [Tensor(signature, row) for row in rows]
     arr.setflags(write=False)
     return [_wrap(signature, arr[k, ...]) for k in range(len(rows))]
@@ -502,7 +520,8 @@ def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
 
 
 def sum_tensors(tensors: list[Tensor]) -> Tensor:
-    """Entrywise sum of one or more tensors over a common signature."""
+    """Entrywise sum of one or more tensors over a common signature, added
+    left to right: int64 operands in one reduction, with the same bits."""
     if not tensors:
         raise EmptyList("cannot sum zero tensors")
     sig = tensors[0].signature

@@ -410,6 +410,18 @@ def test_float_tensors_survive_round_trip(tmp_path):
     assert load_lexicon(out).sense("a#n").tensor == t
 
 
+def test_a_load_converts_each_type_once_and_indexes_the_senses_by_type():
+    lex = load_lexicon(fixture_path("paper_s4"))
+    assert [ty.compact() for ty in lex.types] == ["e", "et", "eet"]
+    for ty in lex.types:
+        senses = lex.senses_of(ty)
+        assert senses == tuple(s for s in lex.senses if s.sem_type is ty)
+        # read-only rows of one array per type
+        assert len({id(s.tensor.array.base) for s in senses}) == 1
+        assert not any(s.tensor.array.flags.writeable for s in senses)
+    assert lex.senses_of(None) == ()  # a link sense has no type
+
+
 def test_a_load_resolves_each_type_spelling_once(monkeypatch):
     # paper_s4 spells three types (e, et, eet) over eight tensor senses
     spellings, types = [], []

@@ -49,18 +49,33 @@ reference is the recursive walk it replaced.  On regular and ragged
 nestings of ints around the int64 edges, floats and booleans, the two
 refuse alike, and Tensor builds or refuses alike with either.
 
+A type's tensors are built together at load (tensors_of); the reference
+is Tensor, row by row: each row of a batch has the value and dtype Tensor
+gives it, and a batch with a bad row raises what Tensor raises for the
+first.  Random lexicon documents, int, float and mixed, load to the
+tensors their senses give one by one; with one or two corrupted senses,
+the load names the first in the file, with the message of the per-sense
+path.  sum_tensors adds int64 operands in one reduction; the reference is
+numpy's add, left to right, and the sum stand-ins of those documents are
+that sum, bit for bit, of their parts (exact on integer lexicons).
+
 Corpus splitting and counting are checked against line-by-line and
 excerpt-by-excerpt loops over plain token lists, empty arguments included.
 """
 
+import copy
 import gc
+import json
+import tempfile
 import warnings
 import weakref
+from math import inf, nan, prod
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -72,9 +87,11 @@ from dsvs import (
     DeadEnd,
     DuplicateSlot,
     EmptyCorpus,
+    NoInhabitants,
     NonFiniteEntry,
     SlotOutOfRange,
     SpaceMismatch,
+    ValidationError,
     compile_root,
     disambiguate,
     expect,
@@ -107,7 +124,16 @@ from dsvs.parser import (
     saturate,
 )
 from dsvs.semtypes import E, SpaceMap, T, application_slot, parse_type, signature_of
-from dsvs.tensor import Signature, Space, Tensor, TensorTuple, contract, mu
+from dsvs.tensor import (
+    Signature,
+    Space,
+    Tensor,
+    TensorTuple,
+    contract,
+    mu,
+    sum_tensors,
+    tensors_of,
+)
 
 LEXICONS = {name: load_lexicon(fixture_path(name)) for name in ("traces", "split_senses")}
 
@@ -766,6 +792,28 @@ def test_a_non_finite_result_is_refused_without_a_warning(drawn, b_entry):
                 mu(b, b)
 
 
+def _left_to_right(arrays):
+    total = arrays[0]
+    for a in arrays[1:]:
+        total = np.add(total, a)
+    return total
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_sum_tensors_gives_the_bits_of_adding_left_to_right(data):
+    """int64 operands are added in one reduction, which wraps as adding
+    them one by one does; any float operand keeps the left-to-right adds."""
+    spaces = data.draw(st.lists(st.sampled_from(KERNEL_SPACES), max_size=3))
+    wide = hnp.arrays(np.int64, Signature(tuple(spaces)).dims).map(
+        lambda a: Tensor(Signature(tuple(spaces)), a))
+    tensors = data.draw(st.lists(st.one_of(kernel_tensors(spaces), wide), min_size=1, max_size=10))
+    want = np.asarray(_left_to_right([t.array for t in tensors]))
+    got = sum_tensors(tensors)
+    assert got.signature == tensors[0].signature
+    assert got.array.dtype == want.dtype and got.array.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # tensor entries
 
@@ -836,6 +884,205 @@ def test_tensors_from_lists_are_those_numpy_builds_after_the_walk(drawn):
         return Tensor(sig, np.array(v))
 
     assert _outcome(lambda v: Tensor(sig, v), values) == _outcome(walked, values)
+
+
+@st.composite
+def entry_rows(draw):
+    """Rows of entries for one signature, as tensors_of takes them: rows of
+    its shape, each of one or two entry kinds, and now and then a ragged
+    nesting among them."""
+    dims = draw(st.lists(st.sampled_from(sorted(ENTRY_SPACES)), min_size=1, max_size=3))
+    kinds = [st.integers(0, 9), st.floats(0, 9), *ENTRY_KINDS.values()]
+    shaped = []
+    for entries in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2)):
+        for d in reversed(dims):
+            entries = _list_or_tuple(entries, d)
+        shaped.append(entries)
+    rows = draw(st.lists(st.one_of(shaped), max_size=5))
+    if not draw(st.integers(0, 3)):
+        ragged = draw(_list_or_tuple(st.recursive(st.integers(0, 9), _list_or_tuple, max_leaves=12)))
+        rows.insert(draw(st.integers(0, len(rows))), ragged)
+    return rows, Signature(tuple(ENTRY_SPACES[d] for d in dims))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(entry_rows())
+def test_tensors_of_builds_each_row_as_tensor_builds_it(drawn):
+    rows, sig = drawn
+    want = [_outcome(lambda v: Tensor(sig, v), row) for row in rows]
+    refused = [outcome for outcome in want if isinstance(outcome[0], type)]
+    try:
+        made = tensors_of(sig, rows)
+    except Exception as e:
+        assert refused and (type(e), str(e)) == refused[0]
+        return
+    assert not refused
+    assert [(t.array.dtype.str, t.array.tobytes()) for t in made] == want
+    for t in made:
+        assert t.signature == sig and t.array.shape == sig.dims
+        assert not t.array.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# loading lexicon files
+
+LOAD_TYPES = ("e", "t", "et", "eet")
+
+
+def _nest(flat, dims):
+    """A flat list of entries nested outermost-first to dims."""
+    for d in reversed(dims[1:]):
+        flat = [flat[i:i + d] for i in range(0, len(flat), d)]
+    return flat
+
+
+@st.composite
+def lexicon_documents(draw, labels=st.integers(1, 4)):
+    """A lexicon document: an entity space of 1 to 4 labels, up to ten
+    senses each of e, t, et and eet and a link sense, in a drawn order.
+    Each type's entries are all ints, all floats, or mixed: then each
+    sense is ints, floats, or both.  numpy sums eight or more floats
+    along an axis pairwise, so ten senses of a type can tell a reduction
+    from adding left to right."""
+    smap = SpaceMap(entity=Space("W", tuple(f"w{k}" for k in range(draw(labels)))),
+                    sentence=Space("S", (TOP, BOTTOM)))
+    ints, floats = st.integers(0, 10**6), st.floats(0, 1e6)
+    kinds = {"int": [ints], "float": [floats], "mixed": [ints, floats, st.one_of(ints, floats)]}
+    senses = [{"id": "who#rel", "word": "who", "type": "link"}]
+    for name in LOAD_TYPES:
+        dims = signature_of(parse_type(name), smap).dims
+        entries = kinds[draw(st.sampled_from(sorted(kinds)))]
+        for k in range(draw(st.integers(0, 10))):
+            flat = draw(st.lists(draw(st.sampled_from(entries)), min_size=prod(dims),
+                                 max_size=prod(dims)))
+            senses.append({"id": f"{name}{k}", "word": f"{name}{k}", "type": name,
+                           "tensor": _nest(flat, dims)})
+    return {"format": "dsvs-lexicon/1",
+            "spaces": {sp.name: list(sp.basis) for sp in smap},
+            "map": {"entity": "W", "sentence": "S"},
+            "senses": draw(st.permutations(senses))}
+
+
+def _load(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "drawn.lexicon"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity too
+        return load_lexicon(path)
+
+
+def _signature(sense_obj, lex):
+    return signature_of(parse_type(sense_obj["type"]), lex.space_map)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(lexicon_documents())
+def test_a_loaded_lexicon_equals_one_built_sense_by_sense(doc):
+    lex = _load(doc)
+    assert [s.sense_id for s in lex.senses] == [o["id"] for o in doc["senses"]]
+    for s, o in zip(lex.senses, doc["senses"]):
+        if o["type"] == "link":
+            assert s.tensor is None
+            continue
+        want = Tensor(_signature(o, lex), o["tensor"])
+        assert s.tensor.signature == want.signature
+        assert s.tensor.array.dtype == want.array.dtype
+        assert s.tensor.array.tobytes() == want.array.tobytes()
+    for ty in lex.types:
+        assert lex.senses_of(ty) == tuple(s for s in lex.senses if s.sem_type is ty)
+
+
+def _corrupt(data, entries, how):
+    """A copy of nested entries with one fault of the kind named."""
+    entries = copy.deepcopy(entries)
+    row = entries  # the innermost list holding the entry chosen
+    while isinstance(row[0], list):
+        row = row[data.draw(st.integers(0, len(row) - 1))]
+    k = data.draw(st.integers(0, len(row) - 1))
+    if how == "boolean":
+        row[k] = data.draw(st.booleans())
+    elif how == "int64":
+        row[k] = data.draw(st.sampled_from([2**63, 2**64, -2**63 - 1]))
+    elif how == "non-finite":
+        row[k] = data.draw(st.sampled_from([inf, -inf, nan]))
+    elif how == "ragged":
+        if row is not entries and data.draw(st.booleans()):
+            row.append(row[k])  # one row longer than the others
+        else:
+            row[k] = [row[k]]  # a list where an entry belongs
+    elif data.draw(st.booleans()):  # the wrong shape: one entry more at the top
+        entries.append(entries[0])
+    else:  # or one fewer
+        entries.pop()
+    return entries
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(lexicon_documents(), st.data())
+def test_a_bad_tensor_is_named_as_the_per_sense_path_names_it(doc, data):
+    typed = [k for k, o in enumerate(doc["senses"]) if o["type"] != "link"]
+    assume(typed)
+    # one bad sense, or two of different types
+    bad = data.draw(st.lists(st.sampled_from(typed), min_size=1, max_size=2,
+                             unique_by=lambda k: doc["senses"][k]["type"]))
+    faults = ["boolean", "int64", "non-finite", "ragged", "shape"]
+    for k in bad:
+        sense = doc["senses"][k]
+        sense["tensor"] = _corrupt(data, sense["tensor"], data.draw(st.sampled_from(faults)))
+    smap = SpaceMap(entity=Space("W", tuple(doc["spaces"]["W"])), sentence=Space("S", (TOP, BOTTOM)))
+    want = None
+    for o in doc["senses"]:  # the per-sense path: the first bad sense in the file
+        if o["type"] != "link" and want is None:
+            try:
+                Tensor(signature_of(parse_type(o["type"]), smap), o["tensor"])
+            except (TypeError, ValueError) as e:
+                want = f"sense {o['id']!r}: bad tensor: {e}"
+    assert want is not None and doc["senses"][min(bad)]["id"] in want
+    with pytest.raises(ValidationError) as err:
+        _load(doc)
+    assert str(err.value) == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(lexicon_documents(labels=st.sampled_from([1, 1, 2, 4])))
+def test_sum_stand_ins_keep_their_summation_order(doc):
+    """The sum stand-in of a float lexicon is, bit for bit, its direct
+    tensors and the contraction of the summed functions against the
+    summed entities, each sum added left to right in declaration order;
+    on an integer lexicon it is the enumerated inventory's exact sum.
+    A reduction of one-entry tensors, as a one-label entity space makes
+    them, rounds otherwise, so such spaces are drawn often."""
+    lex = _load(doc)
+    tensors = [s for s in lex.senses if s.tensor is not None]
+    entities = [s for s in tensors if s.sem_type is E]
+    for name in LOAD_TYPES:
+        sig = signature_of(parse_type(name), lex.space_map)
+        direct = [s for s in tensors if s.tensor.signature == sig]
+        functions = [s for s in tensors if s.sem_type.is_function
+                     and signature_of(s.sem_type.res, lex.space_map) == sig]
+        pairs = [(f, a) for f in functions for a in entities]
+        labels = [s.sense_id for s in direct] + [f"{f.sense_id}+{a.sense_id}" for f, a in pairs]
+        assert [label for label, _ in known_inhabitants(sig, lex)] == labels
+        if not labels:
+            with pytest.raises(NoInhabitants):
+                underspec_tensor(sig, "sum", lex)
+            continue
+        parts = [s.tensor.array for s in direct]
+        if pairs:
+            slot = application_slot(functions[0].sem_type)
+            parts.append(np.tensordot(_left_to_right([f.tensor.array for f in functions]),
+                                      _left_to_right([a.tensor.array for a in entities]),
+                                      axes=([slot], [0])))
+        want = np.asarray(_left_to_right(parts))
+        got = underspec_tensor(sig, "sum", lex)
+        assert got.array.dtype == want.dtype and got.array.tobytes() == want.tobytes()
+        if lex.integer:
+            exact = [s.tensor.tolist() for s in direct] + [
+                oracles.contract_lists(f.tensor.tolist(), a.tensor.tolist(),
+                                       [(application_slot(f.sem_type), 0)]) for f, a in pairs]
+            total = exact[0]
+            for entries in exact[1:]:
+                total = oracles.add_lists(total, entries)
+            assert got.tolist() == total
 
 
 # ---------------------------------------------------------------------------
