@@ -446,13 +446,12 @@ def _parse_senses(senses_obj: list, smap: SpaceMap, resolved: dict) -> list[Sens
     each type's tensors built together (tensors_of).  What fails raises
     as it comes, not as _parse_sense names it."""
     fields = [_read_sense(o, i, smap, resolved) for i, o in enumerate(senses_obj)]
-    by_type: dict = {}
-    for k, f in enumerate(fields):
-        if f[2] is not None:
-            by_type.setdefault(f[2], []).append(k)
+    by_type: dict = {}  # each type's signature and its senses' positions
+    for k, (_, _, ty, sig, _, _, _) in enumerate(fields):
+        if ty is not None:
+            by_type.setdefault(ty, (sig, []))[1].append(k)
     tensors: list = [None] * len(fields)
-    for positions in by_type.values():
-        sig = fields[positions[0]][3]
+    for sig, positions in by_type.values():
         for k, t in zip(positions, tensors_of(sig, [fields[k][4] for k in positions])):
             tensors[k] = t
     return [Sense(sid, word, ty, t, gloss=gloss, forms=forms)
