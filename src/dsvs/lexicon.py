@@ -296,8 +296,8 @@ class Lexicon:
         by_type: dict[SemType, list[Sense]] = {}
         index: dict[str, list[Sense]] = {}
         # one test over every entry; each sense's own only if it fails
-        arrays = [s.tensor.array.ravel() for s in self.senses if isinstance(s.tensor, Tensor)]
-        negative = bool(arrays) and bool((np.concatenate(arrays) < 0).any())
+        arrays = [s.tensor.array for s in self.senses if isinstance(s.tensor, Tensor)]
+        negative = bool(arrays) and bool((np.concatenate(arrays, axis=None) < 0).any())
         for s in self.senses:
             if s.sense_id in seen:
                 raise ValidationError(f"duplicate sense id {s.sense_id!r}")
