@@ -970,10 +970,6 @@ def _load(doc):
         return load_lexicon(path)
 
 
-def _signature(sense_obj, lex):
-    return signature_of(parse_type(sense_obj["type"]), lex.space_map)
-
-
 @settings(max_examples=150, deadline=None, database=None)
 @given(lexicon_documents())
 def test_a_loaded_lexicon_equals_one_built_sense_by_sense(doc):
@@ -983,7 +979,7 @@ def test_a_loaded_lexicon_equals_one_built_sense_by_sense(doc):
         if o["type"] == "link":
             assert s.tensor is None
             continue
-        want = Tensor(_signature(o, lex), o["tensor"])
+        want = Tensor(signature_of(parse_type(o["type"]), lex.space_map), o["tensor"])
         assert s.tensor.signature == want.signature
         assert s.tensor.array.dtype == want.array.dtype
         assert s.tensor.array.tobytes() == want.array.tobytes()
