@@ -26,9 +26,9 @@ under the chosen strategy, refused before any output.
 main may be called many times in one process.  Every call loads its
 lexicon file anew and builds its own stand-ins.  What carries over
 between calls is the argument parser and caches no output depends on:
-interned semantic types, signature_of's memo and contraction plans, the
-last two of at most 1,024 entries each.  So a call's output depends only
-on its arguments and the lexicon file's bytes.
+interned semantic types, signature_of's memo, contraction plans and
+formula templates, the last three of at most 1,024 entries each.  So a
+call's output depends only on its arguments and the lexicon file's bytes.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _tree_json(tree, i: int | None = None) -> dict:
         "requirement": n.requirement,
     }
     if n.formula is not None:
-        o["formula"] = n.formula.tolist()
+        o["formula"] = n.formula  # _write_json spells it as its tolist()
     if i == tree.pointer:
         o["pointer"] = True
     if n.argument is not None:
@@ -159,14 +159,42 @@ def _tree_json(tree, i: int | None = None) -> dict:
     return o
 
 
+# formula templates by (shape, dtype kind, indent); all are dropped when
+# _MAX_TEMPLATES are kept and one more is made, as tensor's plans are
+_MAX_TEMPLATES = 1024
+_TEMPLATES: dict = {}
+_SLOTS = {"i": "%d", "f": "%r"}  # int.__repr__ and float.__repr__ spellings
+
+
+def _formula_template(shape: tuple, kind: str, indent: str) -> str:
+    """The text _write_json writes for the nested lists of an array of
+    that shape and dtype kind ("i" or "f") at indent, with one %-slot per
+    entry in row-major order; kept in _TEMPLATES.  No dim is 0: every
+    space has a basis label."""
+    text = _SLOTS[kind]
+    for depth in reversed(range(len(shape))):
+        inner = indent + "  " * (depth + 1)
+        text = "[" + inner + ("," + inner).join([text] * shape[depth]) + inner[:-2] + "]"
+    if len(_TEMPLATES) >= _MAX_TEMPLATES:
+        _TEMPLATES.clear()  # one atomic call: no two threads evict the same key
+    _TEMPLATES[shape, kind, indent] = text
+    return text
+
+
 def _write_json(o, indent: str, put) -> None:
     """Put o's JSON text, as json.dumps(o, ensure_ascii=False, indent=2)
     spells it, piece by piece; indent is the newline and indentation that
     o's own line starts with.  json's encoder goes through its pure-Python
     path whenever indent is set; this writer does the same job in about
-    half the time.  A NaN or infinite float raises ValueError, as with
+    a quarter of the time.  A NaN or infinite float raises ValueError, as with
     allow_nan=False: no dsvs/1 document holds one, since tensors and
-    scores refuse non-finite values."""
+    scores refuse non-finite values.
+
+    A Tensor is written as its tolist() would be.  An int64 or float64
+    one fills the template _formula_template keeps for its shape, dtype
+    kind and indent with its entries in one string format, instead of
+    walking its nested lists; its entries are finite, as every Tensor's
+    are.  Any other dtype goes through tolist() and the paths above."""
     if isinstance(o, str):
         put(encode_basestring(o))
     elif isinstance(o, dict):
@@ -180,6 +208,16 @@ def _write_json(o, indent: str, put) -> None:
             _write_json(value, inner, put)
             sep = "," + inner
         put(indent + "}")
+    elif isinstance(o, Tensor):
+        arr = o.array
+        key = (arr.shape, arr.dtype.kind, indent)
+        template = _TEMPLATES.get(key)
+        if template is None:
+            if key[1] not in _SLOTS:
+                _write_json(arr.tolist(), indent, put)
+                return
+            template = _formula_template(*key)
+        put(template % tuple(arr.ravel().tolist()))
     elif isinstance(o, (list, tuple)):
         if not o:
             put("[]")
@@ -208,7 +246,8 @@ def _write_json(o, indent: str, put) -> None:
 
 
 def _json_text(doc) -> str:
-    """json.dumps(doc, ensure_ascii=False, indent=2), written directly."""
+    """json.dumps(doc, ensure_ascii=False, indent=2), written directly, with
+    each Tensor in doc written as its tolist() would be."""
     out: list[str] = []
     _write_json(doc, "\n", out.append)
     return "".join(out)

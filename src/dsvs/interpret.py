@@ -24,7 +24,9 @@ the lexicon formulae plus at most one contraction, of summed functions
 against summed entities, which makes it linear in lexicon size.  A
 lexicon never changes, so each stand-in is built once per lexicon,
 signature and strategy, on first use, and kept in the lexicon's
-stand_ins.
+stand_ins; each type's sum, which one stand-in can read as its direct
+tensors and another as its functions or entities, is summed once per
+lexicon and kept in its type_sums.
 
 parser.evaluate composes plain tensors only; the direct_sum rule lives
 here, in compile_root.  Contraction and mu are multilinear, so a
@@ -110,10 +112,10 @@ def known_inhabitants(signature: Signature, lexicon: Lexicon) -> Inventory:
     direct, functions = (), ()
     for ty in lexicon.types:
         if signature_of(ty, smap) == signature:
-            direct = tuple((s.sense_id, s.tensor) for s in lexicon.senses_of(ty))
+            direct = lexicon.senses_of(ty)
         elif ty.is_function and signature_of(ty.res, smap) == signature:
             functions = lexicon.senses_of(ty)
-    return Inventory(direct, functions, lexicon.senses_of(E))
+    return Inventory(direct, functions, lexicon.senses_of(E), lexicon.type_sums)
 
 
 class _Lazy(Sequence):
@@ -138,21 +140,22 @@ class _Lazy(Sequence):
 class Inventory(_Lazy):
     """The labelled tensors of one signature, as known_inhabitants lists them.
 
-    direct holds (sense id, tensor) for the lexicon formulae of the
-    signature, functions the function senses whose result lands in it,
-    entities the entity senses.  Only one type of the family denotes a
-    given signature, so every function here has the same type and binds
-    its argument at the same application slot.  Items are direct first,
-    then one saturation per (function, entity) pair, function-major; a
-    saturation is contracted each time it is read.
+    direct holds the senses whose formulae have the signature, functions
+    the function senses whose result lands in it, entities the entity
+    senses, each all the lexicon's senses of one type.  Only one type of
+    the family denotes a given signature, so every function here has the
+    same type and binds its argument at the same application slot.  Items
+    are (sense id, tensor) for direct first, then one saturation per
+    (function, entity) pair, function-major; a saturation is contracted
+    each time it is read.  sums is the lexicon's type_sums.
     """
 
-    __slots__ = ("_direct", "_functions", "_entities")
+    __slots__ = ("_direct", "_functions", "_entities", "_sums")
 
-    def __init__(self, direct, functions, entities):
+    def __init__(self, direct, functions, entities, sums):
         def item(i):  # holds the tuples, not self: no reference cycle
             if i < len(direct):
-                return direct[i]
+                return direct[i].sense_id, direct[i].tensor
             k, j = divmod(i - len(direct), len(entities))
             f, a = functions[k], entities[j]
             slot = application_slot(f.sem_type)
@@ -160,23 +163,35 @@ class Inventory(_Lazy):
 
         super().__init__(len(direct) + len(functions) * len(entities), item)
         self._direct, self._functions, self._entities = direct, functions, entities
+        self._sums = sums
+
+    def _type_sum(self, senses) -> Tensor:
+        """sum_tensors of one type's senses, summed once per lexicon and
+        kept in its type_sums."""
+        ty = senses[0].sem_type
+        total = self._sums.get(ty)
+        if total is None:
+            total = self._sums[ty] = sum_tensors([s.tensor for s in senses])
+        return total
 
     def total(self) -> Tensor:
         """Entrywise sum of every item (there must be one), in closed form.
 
         Contraction is bilinear, so the saturations sum to one contraction:
         contract(sum of the functions, sum of the entities) at their shared
-        slot.  The total is the direct tensors plus that term, if there is
-        a function and an entity.
+        slot.  The total is the sum of the direct tensors plus that term,
+        if there is a function and an entity.  Each sum adds left to right,
+        so this has the bits of one left-to-right sum of the direct tensors
+        and the term.
         """
-        parts = [t for _, t in self._direct]
+        parts = [self._type_sum(self._direct)] if self._direct else []
         if self._functions and self._entities:
             parts.append(contract(
-                sum_tensors([f.tensor for f in self._functions]),
-                sum_tensors([a.tensor for a in self._entities]),
+                self._type_sum(self._functions),
+                self._type_sum(self._entities),
                 [(application_slot(self._functions[0].sem_type), 0)],
             ))
-        return sum_tensors(parts)
+        return parts[0] if len(parts) == 1 else sum_tensors(parts)
 
 
 def _check_strategy(strategy: str) -> None:

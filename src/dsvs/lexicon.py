@@ -106,9 +106,10 @@ def read_text(path, what: str) -> str:
     A file that cannot be read (missing, a directory, no permission) or
     decoded raises ParseError naming what it is and its path.
     """
-    p = Path(path)
+    p = path if isinstance(path, Path) else Path(path)  # messages name str(p)
     try:
-        return p.read_text(encoding="utf-8")
+        with open(p, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {what} {p}: {e}")
 
@@ -274,9 +275,11 @@ class Lexicon:
     declaration order, so a stand-in reads a type's senses without a scan
     of the whole lexicon.
 
-    stand_ins is derived data, not part of the lexicon's value: the
-    interpreter fills it lazily with one stand-in per (signature,
-    strategy), which is sound because a lexicon never changes.
+    stand_ins and type_sums are derived data, not part of the lexicon's
+    value: the interpreter fills them lazily, stand_ins with one stand-in
+    per (signature, strategy) and type_sums with the sum_tensors of one
+    type's senses per type, which is sound because a lexicon never
+    changes.
     """
 
     space_map: SpaceMap
@@ -285,6 +288,7 @@ class Lexicon:
     _groups: dict = field(init=False, repr=False, compare=False)
     _by_type: dict = field(init=False, repr=False, compare=False)
     stand_ins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    type_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "senses", tuple(self.senses))

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from dsvs.cli import _json_text, _tree_json, main
 from dsvs.interpret import STRATEGIES, require_stand_ins, underspec_tensor
 from dsvs.parser import canonical_view, render
 from dsvs.semtypes import parse_type, signature_of
+from dsvs.tensor import Signature, Space, Tensor
 
 BASE = str(fixture_path("paper_s4"))
 SPLIT = str(fixture_path("split_senses"))
@@ -669,6 +672,84 @@ def test_json_writer_spells_non_finite_floats_as_json_does(x):
         except ValueError:
             continue  # refusing is allowed; printing nan or inf is not
         assert got == json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+_DIM_SPACES = [Space(f"D{n}", tuple(f"b{i}" for i in range(n))) for n in range(1, 5)]
+_int64s = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([2**63 - 1, -2**63]))
+_float64s = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([-0.0, 5e-324, 1e308, 0.1, -1e16]))
+
+
+@st.composite
+def _tensors(draw):
+    """An int64 or float64 Tensor of rank 0-3, each dim 1-4."""
+    dims = draw(st.lists(st.integers(1, 4), max_size=3))
+    ints = draw(st.booleans())
+    entries = draw(st.lists(_int64s if ints else _float64s,
+                            min_size=prod(dims), max_size=prod(dims)))
+    array = np.array(entries, dtype=np.int64 if ints else np.float64).reshape(dims)
+    return Tensor(Signature(tuple(_DIM_SPACES[n - 1] for n in dims)), array)
+
+
+@st.composite
+def _tensor_documents(draw):
+    """A tensor nested 0-6 levels deep in lists and dicts, beside other
+    tensors and scalars."""
+    doc = draw(_tensors())
+    for _ in range(draw(st.integers(0, 6))):
+        others = draw(st.lists(st.one_of(_tensors(), st.integers(), _texts), max_size=2))
+        k = draw(st.integers(0, len(others)))
+        doc = [*others[:k], doc, *others[k:]]
+        if draw(st.booleans()):
+            doc = {f"k{i}": value for i, value in enumerate(doc)}
+    return doc
+
+
+def _as_lists(o):
+    if isinstance(o, Tensor):
+        return o.tolist()
+    if isinstance(o, dict):
+        return {key: _as_lists(value) for key, value in o.items()}
+    if isinstance(o, list):
+        return [_as_lists(value) for value in o]
+    return o
+
+
+@settings(max_examples=300)
+@given(_tensor_documents())
+def test_json_writer_writes_a_tensor_as_its_nested_lists(doc):
+    assert _json_text(doc) == json.dumps(_as_lists(doc), ensure_ascii=False, indent=2)
+
+
+def test_formula_templates_are_kept_for_at_most_1024_shapes_and_indents():
+    shapes = sorted({(n,) * rank for rank in range(4) for n in range(1, 5)})
+    tensors = [Tensor(Signature(tuple(_DIM_SPACES[n - 1] for n in shape)),
+                      np.ones(shape, dtype=kind))
+               for shape in shapes for kind in (np.int64, np.float64)]
+    for depth in range(50):  # 26 * 50 keys, each depth at its own indent
+        doc = tensors
+        for _ in range(depth):
+            doc = [doc]
+        assert _json_text(doc) == json.dumps(_as_lists(doc), ensure_ascii=False, indent=2)
+        assert len(dsvs.cli._TEMPLATES) <= 1024
+
+
+def test_parse_json_of_float_formulas_is_what_json_dumps_writes(capsys, tmp_path):
+    doc = json.loads(Path(BASE).read_text(encoding="utf-8"))
+    for sense in doc["senses"]:
+        if "tensor" in sense:
+            sense["tensor"] = (np.array(sense["tensor"]) * 1.1 + 0.3).tolist()
+    path = tmp_path / "float.lexicon"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    for words in ("babies vomit", "footballers who score control"):
+        code, out, err = run(capsys, "parse", "--lexicon", str(path), "--format", "json",
+                             "--trace", words)
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
+        entries = []  # every formula's entries, as json.loads reads them
+        json.loads(out, object_hook=lambda o: entries.extend(
+            np.array(o.get("formula", []), dtype=object).ravel()) or o)
+        assert entries and all(type(x) is float for x in entries)
 
 
 @pytest.mark.parametrize("lexicon, words", [

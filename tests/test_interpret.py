@@ -188,6 +188,30 @@ def test_sum_stand_ins_cost_one_contraction_per_function_signature(monkeypatch):
     assert counts == [2, 2]  # t from the et verbs, et from the eet verbs
 
 
+@pytest.mark.parametrize("lex", [_counted_lexicon(5), load_lexicon(fixture_path("traces"))],
+                         ids=["counted", "traces"])
+def test_each_sense_type_is_summed_once_per_lexicon(monkeypatch, lex):
+    summed = []
+    real = interpret_module.sum_tensors
+
+    def counting(tensors):
+        summed.append(list(tensors))
+        return real(tensors)
+
+    monkeypatch.setattr(interpret_module, "sum_tensors", counting)
+    entities = [s.tensor for s in lex.senses_of(parse_type("e"))]
+    for strategy in ("sum", "direct_sum"):
+        for kind in ("t", "e", "et"):
+            underspec_tensor(signature_of(parse_type(kind), lex.space_map), strategy, lex)
+    operands = [t for tensors in summed for t in tensors]
+    # the e stand-in, the t stand-in's entities and the <e,t> stand-in's
+    # entities are one sum; so are the <e,t> verbs, read by t and by <e,t>
+    assert [tensors for tensors in summed if tensors[0] is entities[0]] == [entities]
+    for s in lex.senses:
+        if s.tensor is not None:
+            assert sum(t is s.tensor for t in operands) == 1, s.sense_id
+
+
 def test_functions_without_entities_have_no_inhabitants():
     w, s = Space("W", ("x", "y")), Space("S", (TOP, BOTTOM))
     verb = Sense("v#v", "v", parse_type("et"), Tensor(Signature((w, s)), [[1, 2], [3, 4]]))
