@@ -159,25 +159,16 @@ def _tree_json(tree, i: int | None = None) -> dict:
     return o
 
 
-# formula templates by (shape, dtype kind, indent); all are dropped when
-# _MAX_TEMPLATES are kept and one more is made, as tensor's plans are
-_MAX_TEMPLATES = 1024
-_TEMPLATES: dict = {}
-_SLOTS = {"i": "%d", "f": "%r"}  # int.__repr__ and float.__repr__ spellings
-
-
-def _formula_template(shape: tuple, kind: str, indent: str) -> str:
+@functools.lru_cache(maxsize=1024)
+def _formula_template(shape: tuple, indent: str) -> str:
     """The text _write_json writes for the nested lists of an array of
-    that shape and dtype kind ("i" or "f") at indent, with one %-slot per
-    entry in row-major order; kept in _TEMPLATES.  No dim is 0: every
-    space has a basis label."""
-    text = _SLOTS[kind]
+    that shape at indent, with one %r slot per entry in row-major order:
+    %r spells a tolist() entry, a Python int or float, as int.__repr__
+    and float.__repr__ do.  No dim is 0: every space has a basis label."""
+    text = "%r"
     for depth in reversed(range(len(shape))):
         inner = indent + "  " * (depth + 1)
         text = "[" + inner + ("," + inner).join([text] * shape[depth]) + inner[:-2] + "]"
-    if len(_TEMPLATES) >= _MAX_TEMPLATES:
-        _TEMPLATES.clear()  # one atomic call: no two threads evict the same key
-    _TEMPLATES[shape, kind, indent] = text
     return text
 
 
@@ -190,11 +181,10 @@ def _write_json(o, indent: str, put) -> None:
     allow_nan=False: no dsvs/1 document holds one, since tensors and
     scores refuse non-finite values.
 
-    A Tensor is written as its tolist() would be.  An int64 or float64
-    one fills the template _formula_template keeps for its shape, dtype
-    kind and indent with its entries in one string format, instead of
-    walking its nested lists; its entries are finite, as every Tensor's
-    are.  Any other dtype goes through tolist() and the paths above."""
+    A Tensor is written as its tolist() would be: its entries fill the
+    template _formula_template keeps for its shape and indent in one
+    string format, instead of a walk of its nested lists; they are
+    finite, as every Tensor's are."""
     if isinstance(o, str):
         put(encode_basestring(o))
     elif isinstance(o, dict):
@@ -210,14 +200,7 @@ def _write_json(o, indent: str, put) -> None:
         put(indent + "}")
     elif isinstance(o, Tensor):
         arr = o.array
-        key = (arr.shape, arr.dtype.kind, indent)
-        template = _TEMPLATES.get(key)
-        if template is None:
-            if key[1] not in _SLOTS:
-                _write_json(arr.tolist(), indent, put)
-                return
-            template = _formula_template(*key)
-        put(template % tuple(arr.ravel().tolist()))
+        put(_formula_template(arr.shape, indent) % tuple(arr.ravel().tolist()))
     elif isinstance(o, (list, tuple)):
         if not o:
             put("[]")

@@ -106,12 +106,11 @@ def read_text(path, what: str) -> str:
     A file that cannot be read (missing, a directory, no permission) or
     decoded raises ParseError naming what it is and its path.
     """
-    p = path if isinstance(path, Path) else Path(path)  # messages name str(p)
     try:
-        with open(p, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(f"cannot read {what} {p}: {e}")
+        raise ParseError(f"cannot read {what} {Path(path)}: {e}")
 
 
 def read_corpus(path) -> list[CorpusExcerpt]:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -722,16 +723,17 @@ def test_json_writer_writes_a_tensor_as_its_nested_lists(doc):
 
 
 def test_formula_templates_are_kept_for_at_most_1024_shapes_and_indents():
-    shapes = sorted({(n,) * rank for rank in range(4) for n in range(1, 5)})
+    shapes = [()] + [dims for rank in range(1, 4) for dims in product(range(1, 5), repeat=rank)]
     tensors = [Tensor(Signature(tuple(_DIM_SPACES[n - 1] for n in shape)),
                       np.ones(shape, dtype=kind))
                for shape in shapes for kind in (np.int64, np.float64)]
-    for depth in range(50):  # 26 * 50 keys, each depth at its own indent
+    for depth in range(16):  # 85 * 16 keys, each depth at its own indent
         doc = tensors
         for _ in range(depth):
             doc = [doc]
         assert _json_text(doc) == json.dumps(_as_lists(doc), ensure_ascii=False, indent=2)
-        assert len(dsvs.cli._TEMPLATES) <= 1024
+        assert dsvs.cli._formula_template.cache_info().currsize <= 1024
+    assert dsvs.cli._formula_template.cache_info().currsize == 1024  # so it evicted
 
 
 def test_parse_json_of_float_formulas_is_what_json_dumps_writes(capsys, tmp_path):
