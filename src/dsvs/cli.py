@@ -26,9 +26,10 @@ under the chosen strategy, refused before any output.
 main may be called many times in one process.  Every call loads its
 lexicon file anew and builds its own stand-ins.  What carries over
 between calls is the argument parser and caches no output depends on:
-interned semantic types, signature_of's memo, contraction plans and
-formula templates, the last three of at most 1,024 entries each.  So a
-call's output depends only on its arguments and the lexicon file's bytes.
+interned semantic types, signature_of's memo, contraction plans, stacked
+signatures and formula templates, the last four of at most 1,024 entries
+each.  So a call's output depends only on its arguments and the lexicon
+file's bytes.
 """
 
 from __future__ import annotations

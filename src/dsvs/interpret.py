@@ -68,7 +68,7 @@ from math import inf, prod
 from typing import NamedTuple
 
 from .errors import NoInhabitants, NonFiniteEntry, SignatureMismatch
-from .lexicon import Lexicon, group_by_type
+from .lexicon import Lexicon
 from .parser import (
     ParseState,
     Tree,
@@ -414,10 +414,9 @@ def _best_scores(state: ParseState, senses, lexicon: Lexicon, strategy: str) -> 
     advance_with_senses grows it.  A link group or a group of one is
     valued on the grown tree itself.
     """
-    groups = group_by_type(senses)
     stacked: dict = {}  # a group's first position -> its stacked tensors
     best: list = [None] * len(senses)
-    for _, group, site, grown in grow_by_type(state.candidates, senses, groups):
+    for _, group, site, grown in grow_by_type(state.candidates, senses):
         first = group[0]
         if len(group) == 1 or senses[first].is_link:
             scores = _member_scores(compile_root(saturate(grown), lexicon, strategy), len(group))

@@ -191,8 +191,6 @@ def build_verb_matrix(
 
 LINK_TYPE = "link"
 
-_ONE_GROUP = ((0,),)
-
 
 @dataclass(frozen=True)
 class Sense:
@@ -231,17 +229,6 @@ class Sense:
         return self.sem_type is None
 
 
-def group_by_type(senses) -> tuple[tuple[int, ...], ...]:
-    """Positions in senses grouped by sense type, link senses as one
-    group: groups in order of their first member, members in order."""
-    if len(senses) == 1:
-        return _ONE_GROUP
-    groups: dict[SemType | None, list[int]] = {}
-    for k, s in enumerate(senses):
-        groups.setdefault(s.sem_type, []).append(k)
-    return tuple(map(tuple, groups.values()))
-
-
 def _check_space_map(smap: SpaceMap) -> None:
     """Refuse a space map that cannot be scored, with ValidationError.
 
@@ -270,7 +257,7 @@ class Lexicon:
     token: tokenize reads it as exactly itself.
 
     The senses are indexed once, in the pass that checks them: by surface
-    (lookup, type_groups) and by type (types, senses_of), each list in
+    (lookup) and by type (types, senses_of), each list in
     declaration order, so a stand-in reads a type's senses without a scan
     of the whole lexicon.
 
@@ -284,7 +271,6 @@ class Lexicon:
     space_map: SpaceMap
     senses: tuple[Sense, ...]
     _by_surface: dict = field(init=False, repr=False, compare=False)
-    _groups: dict = field(init=False, repr=False, compare=False)
     _by_type: dict = field(init=False, repr=False, compare=False)
     stand_ins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     type_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -335,18 +321,12 @@ class Lexicon:
             raise ValidationError(f"sense {s.sense_id!r}: surface {surface!r} is not "
                                   f"a token; a sentence reads it as {read}")
         object.__setattr__(self, "_by_surface", index)
-        object.__setattr__(self, "_groups", {w: group_by_type(ss) for w, ss in index.items()})
         object.__setattr__(self, "_by_type", {ty: tuple(ss) for ty, ss in by_type.items()})
 
     def lookup(self, surface: str) -> list[Sense]:
         """All senses reachable from a surface token, each once, in
         declaration order."""
         return list(self._by_surface.get(surface, []))
-
-    def type_groups(self, surface: str) -> tuple[tuple[int, ...], ...]:
-        """group_by_type(lookup(surface)), grouped once, when the lexicon
-        is built."""
-        return self._groups.get(surface, ())
 
     @property
     def types(self) -> tuple[SemType, ...]:

@@ -35,8 +35,8 @@ hosts, and travel down enters open subtrees only, so a link sense can act
 only on the entity the pointer rests on, and any other sense only at
 canonical_view's open slot: each candidate forks at most once per sense,
 and grows once per sense type (grow_by_type), which advance_with_senses,
-parse_word and interpret.expect all grow through.  A lexicon groups each
-word's senses by type once, when it indexes them (Lexicon.type_groups).
+parse_word and interpret.expect all grow through.  grow_by_type is the one
+place that groups senses by type.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DeadEnd, LexiconMiss
-from .lexicon import Lexicon, Sense, group_by_type
+from .lexicon import Lexicon, Sense
 from .semtypes import E, SemType, T, application_slot, fn
 from .tensor import Tensor, contract, mu
 
@@ -376,19 +376,27 @@ def advance_with_sense(state: ParseState, sense: Sense) -> list[Candidate]:
     return advance_with_senses(state, (sense,))[0]
 
 
-def grow_by_type(candidates, senses, groups):
+def grow_by_type(candidates, senses):
     """How each group of senses grows each candidate, each group tried at
     one site.
 
-    groups lists positions in senses; the senses of a group share a type,
-    or are all link senses.  Whether a sense applies, and the tree it
-    grows, depend only on its type, and apply_link ignores the sense, so a
+    The senses are grouped by type, link senses as one group: a group
+    lists positions in senses, groups in order of their first member,
+    members in order.  Whether a sense applies, and the tree it grows,
+    depend only on its type, and apply_link ignores the sense, so a
     candidate is grown once per group, by the group's first sense: a link
     group where the pointer rests, any other at canonical_view's slot,
     viewed once for all groups.  Yields (candidate, group, site, grown
     tree) for each group that applies, candidate by candidate, groups in
     order.  Nothing is saturated.
     """
+    if len(senses) == 1:  # most words: nothing to group
+        groups = ((0,),)
+    else:
+        by_type: dict = {}
+        for k, s in enumerate(senses):
+            by_type.setdefault(s.sem_type, []).append(k)
+        groups = by_type.values()
     for cand in candidates:
         tree, view = cand.tree, None  # view: canonical_view(tree), on first need
         for group in groups:
@@ -413,23 +421,19 @@ def place(site: Tree, grown: Tree, formula: Tensor) -> Tree:
     return tree
 
 
-def advance_with_senses(state: ParseState, senses, groups=None) -> list[list[Candidate]]:
+def advance_with_senses(state: ParseState, senses) -> list[list[Candidate]]:
     """Successors of every candidate under each sense, one list per sense,
     in order, each sense tried at one site: a link sense where the pointer
     rests, any other at canonical_view's.
 
-    Senses are grouped by type, link senses as one group, unless groups
-    gives that grouping (as Lexicon.type_groups does), and each candidate
-    grows once per group (grow_by_type).  Every further sense of a type
-    gets a copy of the group's grown tree with its own tensor at the node
-    that holds it (place); each tree is then saturated.  Every
-    contraction keeps the operands and order it has when the sense is
-    grown alone.
+    Each candidate grows once per sense type, link senses as one type
+    (grow_by_type).  Every further sense of a type gets a copy of the
+    group's grown tree with its own tensor at the node that holds it
+    (place); each tree is then saturated.  Every contraction keeps the
+    operands and order it has when the sense is grown alone.
     """
-    if groups is None:
-        groups = group_by_type(senses)
     out: list[list[Candidate]] = [[] for _ in senses]
-    for cand, group, site, grown in grow_by_type(state.candidates, senses, groups):
+    for cand, group, site, grown in grow_by_type(state.candidates, senses):
         first = group[0]
         out[first].append(Candidate(saturate(grown), cand.senses + (senses[first].sense_id,)))
         for k in group[1:]:
@@ -441,8 +445,7 @@ def advance_with_senses(state: ParseState, senses, groups=None) -> list[list[Can
 def parse_word(state: ParseState, word: str, lexicon: Lexicon) -> ParseState:
     """Consume one token, forking candidates over its senses.
 
-    The senses are grown as advance_with_senses grows them, grouped by
-    type as the lexicon grouped them when it indexed them; the one sense
+    The senses are grown as advance_with_senses grows them; the one sense
     of a word that has one is grown by grow_by_type directly.  Raises
     LexiconMiss for an unknown token and DeadEnd when no candidate
     survives; both carry the 1-based token position.
@@ -454,9 +457,9 @@ def parse_word(state: ParseState, word: str, lexicon: Lexicon) -> ParseState:
     if len(senses) == 1:  # most words: no list per sense to fill and join
         sid = (senses[0].sense_id,)
         survivors = [Candidate(saturate(grown), cand.senses + sid)
-                     for cand, _, _, grown in grow_by_type(state.candidates, senses, ((0,),))]
+                     for cand, _, _, grown in grow_by_type(state.candidates, senses)]
     else:
-        grown = advance_with_senses(state, senses, lexicon.type_groups(word))
+        grown = advance_with_senses(state, senses)
         survivors = [c for cands in grown for c in cands]
     if not survivors:
         raise DeadEnd(word, position)

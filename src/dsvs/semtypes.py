@@ -124,10 +124,6 @@ def parse_type(text: str) -> SemType:
     return ty
 
 
-# signature_of answers kept, least recently used dropped first
-_MAX_SIGNATURES = 1024
-
-
 class SpaceMap(NamedTuple):
     """Assignment of vector spaces to the two atomic types."""
 
@@ -135,7 +131,7 @@ class SpaceMap(NamedTuple):
     sentence: Space
 
 
-@lru_cache(maxsize=_MAX_SIGNATURES)
+@lru_cache(maxsize=1024)
 def signature_of(ty: SemType, smap: SpaceMap) -> Signature:
     """Tensor signature denoted by a type under a space map.
 

@@ -11,15 +11,14 @@ non-finite floats and integers outside int64 are refused.  Tensor copies
 an array on construction and marks it read-only, so tensors behave as
 values.
 
-Entries given as a flat list of plain ints only, or of floats only, are
-built by numpy from the list in one step.  Deeper nestings of lists or
-tuples go through numpy once as an object array: numpy finds the regular
-shape and keeps each entry the Python object it was.  When every entry is
-a plain int, or every entry a float, that array is cast to int64 or
-float64 in one step; an int outside int64 fails the cast.  Any other
-nesting, that failure included, is walked depth first before numpy builds
-it again, so the first boolean or integer outside int64 is the one named,
-and a list that holds itself is refused with RecursionError.  Arrays are
+Entries given as lists or tuples, flat or nested, go through numpy once
+as an object array: numpy finds the regular shape and keeps each entry
+the Python object it was.  When every entry is a plain int, or every
+entry a float, that array is cast to int64 or float64 in one step; an int
+outside int64 fails the cast.  Any other nesting, that failure included,
+is walked depth first before numpy builds it again, so the first boolean
+or integer outside int64 is the one named, and a list that holds itself
+is refused with RecursionError.  Arrays are
 copied once: np.array copies one given, and a cast to its own dtype
 copies nothing.
 
@@ -36,34 +35,36 @@ instead: their arrays are fresh int64 or float64 arrays of the right shape
 by construction, so they are only marked read-only, and a float result is
 still refused unless every entry is finite.  Float overflow inside these
 operations is reported that way alone, not also as a numpy warning.
-sum_tensors adds int64 operands in one reduction over one stacked copy,
-which gives the bits of adding them one by one, as int64 sums wrap alike
-in any order; an operand that is float keeps the left-to-right adds,
-since a float reduction of eight or more values numpy sums pairwise, and
-those sums may round otherwise.
+sum_tensors adds its operands left to right, one add at a time, int64
+and float alike: a float reduction of eight or more values numpy sums
+pairwise, and those sums may round otherwise.
 
 contract plans each contraction once.  A plan is kept per (left signature,
 right signature, pairs), compared by value, so a reloaded lexicon reuses
-the plans of the first.  At most 1,024 plans are kept: making one more
-drops them all, so a process that meets ever new spaces does not keep
-every one of them alive.  A plan holds the result signature and the
-transposes and reshapes that lower the contraction to one np.dot,
-exactly as numpy's tensordot lowers it, so results are bit for bit those
-of tensordot.  Pairs are checked when a plan is made; an invalid pair
-list is never stored.
+the plans of the first.  The 1,024 plans most recently used are kept,
+the least recently used dropped first (functools.lru_cache), so a
+process that meets ever new spaces does not keep every one of them
+alive.  A plan holds the result signature and the transposes and
+reshapes that lower the contraction to one np.dot, exactly as numpy's
+tensordot lowers it, so results are bit for bit those of tensordot.
+Pairs given as lists are looked up as tuples.  Pairs are checked when a
+plan is made; a pair list that is refused raises, and lru_cache keeps no
+call that raised.
 
 A Batch is a space that marks a slot of stacked alternatives: stack puts
 tensors of one signature side by side on a trailing Batch slot, and mu
 multiplies a tensor with each stacked value when the other signature is
 its own with such a slot; any other difference of signatures is refused
-as before.  contract needs nothing new: it keeps unpaired slots in order,
-so a Batch slot last in an operand stays last whenever the other operand
-keeps no slot after it, as an entity argument keeps none.  A Batch never
-equals a Space, so it is never paired.  Entrywise products are exact per
-entry, so mu of a stacked value gives the bits of mu of that value alone,
-float or int; a contraction of a stack is one np.dot of another shape,
-whose float sums may round otherwise, so interpret stacks int64 values
-only.
+as before.  Each stacked signature is built once per (signature, size)
+and kept as plans are, the 1,024 most recently used, so stacks of one
+size share contraction plans.  contract needs nothing new: it keeps
+unpaired slots in order, so a Batch slot last in an operand stays last
+whenever the other operand keeps no slot after it, as an entity argument
+keeps none.  A Batch never equals a Space, so it is never paired.
+Entrywise products are exact per entry, so mu of a stacked value gives
+the bits of mu of that value alone, float or int; a contraction of a
+stack is one np.dot of another shape, whose float sums may round
+otherwise, so interpret stacks int64 values only.
 
 A TensorTuple is always built with its sum, so it never adds up its
 components itself: interpret knows each sum before it builds a tuple, and
@@ -82,6 +83,7 @@ overhead, which the plans keep small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -242,25 +244,14 @@ def _cast_objects(values) -> np.ndarray | None:
 def _from_lists(values) -> np.ndarray:
     """Nested lists and tuples as a new array, its entries checked.
 
-    A flat list of plain ints only, or of floats only, is built by numpy
-    from the list in one step, a deeper nesting by _cast_objects.
-    Anything else, an int outside int64 among it, is walked by
-    _check_entries and then built by numpy from the nesting.  numpy
-    unfolds nested lists down to 64 dimensions, and a list that holds
-    itself twice would take it 2**64 steps, so a nesting whose first
-    entries run 64 lists deep goes to the walk at once.
+    A nesting of plain ints only, or of floats only, is built by
+    _cast_objects.  Anything else, an int outside int64 among it, is
+    walked by _check_entries and then built by numpy from the nesting.
+    numpy unfolds nested lists down to 64 dimensions, and a list that
+    holds itself twice would take it 2**64 steps, so a nesting whose
+    first entries run 64 lists deep goes to the walk at once.
     """
-    depth = _depth(values)
-    if depth == 1:
-        kinds = set(map(type, values))
-        try:
-            if kinds == {int}:
-                return np.array(values, dtype=np.int64)
-            if kinds == {float}:
-                return np.array(values, dtype=np.float64)
-        except OverflowError:  # the entry is named by the walk
-            pass
-    elif depth < 64:
+    if _depth(values) < 64:
         arr = _cast_objects(values)
         if arr is not None:
             return arr
@@ -418,7 +409,6 @@ class TensorTuple:
         return f"TensorTuple({len(self)} x {self.signature!r})"
 
 
-_INT = np.dtype(np.int64)
 _FLOAT = np.dtype(np.float64)
 
 
@@ -448,15 +438,9 @@ def _apply(op, x: np.ndarray, y: np.ndarray):
     return op(x, y)
 
 
-# contraction plans by (left signature, right signature, pairs); all are
-# dropped when _MAX_PLANS are kept and one more is made
-_MAX_PLANS = 1024
-_PLANS: dict = {}
-
-
 def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
     """Check the pairs against both signatures, then lay the contraction
-    out as numpy's tensordot does and keep the layout in _PLANS.
+    out as numpy's tensordot does.
 
     The plan is (result signature, left transpose, left 2-d shape, right
     transpose, right 2-d shape, result shape): paired slots move to the end
@@ -484,7 +468,7 @@ def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
     b_kept = [k for k in range(len(sb)) if k not in b_slots]
     da, db = sa.dims, sb.dims
     paired = prod(da[i] for i in a_slots)
-    plan = (
+    return (
         Signature(tuple(sa[k] for k in a_kept) + tuple(sb[k] for k in b_kept)),
         tuple(a_kept + a_slots),
         (prod(da[k] for k in a_kept), paired),
@@ -492,10 +476,13 @@ def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
         (paired, prod(db[k] for k in b_kept)),
         tuple(da[k] for k in a_kept) + tuple(db[k] for k in b_kept),
     )
-    if len(_PLANS) >= _MAX_PLANS:
-        _PLANS.clear()  # one atomic call: no two threads evict the same key
-    _PLANS[sa, sb, tuple(zip(a_slots, b_slots))] = plan
-    return plan
+
+
+@lru_cache(maxsize=1024)
+def _planned(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
+    """_plan's answer, kept for the 1,024 (left signature, right
+    signature, pairs) most recently asked; one that raised is not kept."""
+    return _plan(sa, sb, pairs)
 
 
 def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
@@ -507,9 +494,9 @@ def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
     """
     pairs = tuple(pairs)
     try:
-        plan = _PLANS[a.signature, b.signature, pairs]
-    except (KeyError, TypeError):  # TypeError: pairs given as lists
-        plan = _plan(a.signature, b.signature, pairs)
+        plan = _planned(a.signature, b.signature, pairs)
+    except TypeError:  # pairs given as lists, which cannot be hashed
+        plan = _planned(a.signature, b.signature, tuple(map(tuple, pairs)))
     signature, a_axes, a_shape, b_axes, b_shape, shape = plan
     out = _apply(
         np.dot,
@@ -521,7 +508,7 @@ def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
 
 def sum_tensors(tensors: list[Tensor]) -> Tensor:
     """Entrywise sum of one or more tensors over a common signature, added
-    left to right: int64 operands in one reduction, with the same bits."""
+    left to right."""
     if not tensors:
         raise EmptyList("cannot sum zero tensors")
     sig = tensors[0].signature
@@ -530,13 +517,9 @@ def sum_tensors(tensors: list[Tensor]) -> Tensor:
             raise SignatureMismatch(
                 f"operand {i} has signature {t.signature!r}, expected {sig!r}"
             )
-    arrays = [t.array for t in tensors]
-    if len(arrays) > 1 and all(a.dtype is _INT for a in arrays):
-        # int64 sums wrap alike in any order: one reduction over one copy
-        return _result(sig, np.add.reduce(np.array(arrays)))
-    total = arrays[0]
-    for a in arrays[1:]:
-        total = _apply(np.add, total, a)
+    total = tensors[0].array
+    for t in tensors[1:]:
+        total = _apply(np.add, total, t.array)
     return _result(sig, total)
 
 
@@ -547,9 +530,12 @@ def direct_sum(tensors: list[Tensor]) -> TensorTuple:
     return TensorTuple(tensors, sum_tensors(tensors))
 
 
-# stacked signatures and their axis orders by (signature, size); all are
-# dropped when _MAX_PLANS are kept and one more is made, as plans are
-_STACKED: dict = {}
+@lru_cache(maxsize=1024)
+def _stacked(sig: Signature, size: int) -> tuple:
+    """The signature of size stacked tensors of sig and the axis order that
+    puts the values last, kept for the 1,024 pairs most recently asked."""
+    batch = Batch("batch", tuple(map(str, range(size))))
+    return Signature(sig.spaces + (batch,)), (*range(1, len(sig) + 1), 0)
 
 
 def stack(tensors: list[Tensor]) -> Tensor:
@@ -568,15 +554,7 @@ def stack(tensors: list[Tensor]) -> Tensor:
             raise SignatureMismatch(
                 f"operand {i} has signature {t.signature!r}, expected {sig!r}"
             )
-    key = (sig, len(tensors))
-    try:
-        stacked, axes = _STACKED[key]
-    except KeyError:
-        if len(_STACKED) >= _MAX_PLANS:
-            _STACKED.clear()
-        batch = Batch("batch", tuple(map(str, range(len(tensors)))))
-        stacked, axes = _STACKED[key] = (Signature(sig.spaces + (batch,)),
-                                         (*range(1, len(sig) + 1), 0))
+    stacked, axes = _stacked(sig, len(tensors))
     # one copy with the values first, read through a view that puts them
     # last; the copy is read-only, so the view is too
     arr = np.array([t.array for t in tensors])

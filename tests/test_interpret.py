@@ -738,6 +738,33 @@ def test_expect_gives_every_sense_of_a_group_in_an_unfinished_adjunct_one_score(
     assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("floats", [False, True])
+def test_a_surface_whose_sense_types_interleave_grows_sense_by_sense(split_lex, floats):
+    # dribble's senses in lookup order are <e,t>, <e,<e,t>>, <e,t>: the two
+    # of one type grow as one group across the one between them
+    ooze = Sense("dribble#ooze", "dribble", parse_type("et"),
+                 Tensor(et_sig(split_lex), [[5, 1], [4, 2], [1, 6], [2, 3]]),
+                 forms=("dribbles",))
+    lex = Lexicon(split_lex.space_map, split_lex.senses + (ooze,))
+    if floats:
+        lex = float_copy(lex)
+    senses = lex.lookup("dribble")
+    assert [s.sem_type.compact() for s in senses] == ["et", "eet", "et"]
+    # the drip and ooze parses await the main verb, the control parse the
+    # relative clause's object
+    state = parse_sequence("footballers who dribble".split(), lex)
+    assert len(state.candidates) == 3
+    got = parse_word(state, "dribble", lex).candidates
+    want = [c for s in senses for c in oracles.advance_alone(state, s, parser_module)]
+    assert list(got) == want
+    assert [c.senses[-1] for c in got] == [s.sense_id for s in senses for _ in range(2)]
+    words = ["dribble", "vomit", "control", "who", "baby"]
+    for strategy in ("unit", "sum", "direct_sum"):
+        want = oracles.expect_per_sense(state, words, lex, strategy,
+                                        parser_module, interpret_module)
+        assert repr(expect(state, words, lex, strategy)) == repr(want), strategy
+
+
 def test_expect_on_a_lexicon_with_one_float_sense_values_each_sense_alone(base_lex, monkeypatch):
     lex = Lexicon(base_lex.space_map, tuple(
         replace(s, tensor=Tensor(s.tensor.signature, s.tensor.array * 1.1 + 0.3))

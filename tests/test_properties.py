@@ -55,9 +55,10 @@ gives it, and a batch with a bad row raises what Tensor raises for the
 first.  Random lexicon documents, int, float and mixed, load to the
 tensors their senses give one by one; with one or two corrupted senses,
 the load names the first in the file, with the message of the per-sense
-path.  sum_tensors adds int64 operands in one reduction; the reference is
-numpy's add, left to right, and the sum stand-ins of those documents are
-that sum, bit for bit, of their parts (exact on integer lexicons).
+path.  sum_tensors adds its operands one by one, int64 and float alike;
+the reference is numpy's add, left to right, and the sum stand-ins of
+those documents are that sum, bit for bit, of their parts (exact on
+integer lexicons).
 
 Corpus splitting and counting are checked against line-by-line and
 excerpt-by-excerpt loops over plain token lists, empty arguments included.
@@ -802,8 +803,8 @@ def _left_to_right(arrays):
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
 def test_sum_tensors_gives_the_bits_of_adding_left_to_right(data):
-    """int64 operands are added in one reduction, which wraps as adding
-    them one by one does; any float operand keeps the left-to-right adds."""
+    """Operands are added one by one, left to right, int64 and float
+    alike, so an int64 sum wraps as numpy's add wraps it."""
     spaces = data.draw(st.lists(st.sampled_from(KERNEL_SPACES), max_size=3))
     wide = hnp.arrays(np.int64, Signature(tuple(spaces)).dims).map(
         lambda a: Tensor(Signature(tuple(spaces)), a))

@@ -126,7 +126,20 @@ def test_the_process_wide_caches_let_old_spaces_go():
         assert 0 < len(alive) <= 1024
     finally:
         # later tests reuse plans they make themselves, not these
-        tensor_module._PLANS.clear()
+        tensor_module._planned.cache_clear()
+
+
+def test_the_stacked_signatures_let_old_spaces_go():
+    # 3,000 fresh spaces, each stacked once; stack keeps at most 1,024
+    # stacked signatures
+    alive = weakref.WeakSet()
+    for k in range(3000):
+        w = Space(f"W{k}", ("x", "y"))
+        alive.add(w)
+        stack([unit_tensor(Signature((w,)))] * 2)
+    del w
+    gc.collect()
+    assert 0 < len(alive) <= 1024
 
 
 def test_tensor_shape_checked():
@@ -274,6 +287,24 @@ def test_contract_error_cases():
         contract(z, z, [(0, 0), (0, 1)])
     with pytest.raises(DuplicateSlot):
         contract(z, z, [(0, 0), (1, 0)])
+
+
+def test_contract_takes_pairs_given_as_lists(monkeypatch):
+    x = Tensor(Signature((A, B)), [[1, 2, 3], [4, 5, 6]])
+    y = Tensor(Signature((B,)), [1, 0, 2])
+    want = contract(x, y, [(1, 0)])
+    assert want.tolist() == [7, 16]
+
+    def planned_again(*args):
+        raise AssertionError("pairs given as lists planned a contraction again")
+
+    monkeypatch.setattr(tensor_module, "_plan", planned_again)
+    assert contract(x, y, [[1, 0]]) == want
+    monkeypatch.undo()
+    # a refused pair list is not kept, so a second call refuses it again
+    for pairs in ([(5, 0)], [(5, 0)], [[5, 0]], [[5, 0]]):
+        with pytest.raises(SlotOutOfRange):
+            contract(x, y, pairs)
 
 
 def _random_case(rng):
