@@ -33,10 +33,16 @@ any daughter or adjunct still open, as Tree.open flags, one pass per tree.
 A parse never walks that list.  Travel up meets propositions, functors and
 hosts, and travel down enters open subtrees only, so a link sense can act
 only on the entity the pointer rests on, and any other sense only at
-canonical_view's open slot: each candidate forks at most once per sense,
-and grows once per sense type (grow_by_type), which advance_with_senses,
-parse_word and interpret.expect all grow through.  grow_by_type is the one
-place that groups senses by type.
+canonical_view's open slot (_site): each candidate forks at most once per
+sense.  A word of one sense grows each candidate with one apply_lexical
+call there (parse_word); the senses of a word of several, and expect's
+candidate words, grow once per sense type (grow_by_type, which
+advance_with_senses and interpret.expect grow through, and the one place
+that groups senses by type).  Either way a candidate is grown once per
+sense type, and each tree kept is saturated once.
+
+The per-word functions read node fields, formula, argument and functor,
+where Node's requirement, complete and is_leaf would each cost a call.
 """
 
 from __future__ import annotations
@@ -117,10 +123,10 @@ class Tree:
         flags it will have once they are.
         """
         nodes = self.nodes
-        flags = [n.formula is None and n.is_leaf for n in nodes]
+        flags = [n.formula is None and n.argument is None and n.functor is None for n in nodes]
         for i in range(len(nodes) - 1, -1, -1):
-            if flags[i] and nodes[i].parent is not None:
-                flags[nodes[i].parent] = True
+            if flags[i] and (m := nodes[i].parent) is not None:
+                flags[m] = True
         return tuple(flags)
 
     def is_complete(self) -> bool:
@@ -184,19 +190,19 @@ def _fold(nodes, flags, n: Node, v):
     """
     if v is None or n.sem_type is not T:
         return v
-    while not n.is_leaf:
+    while n.argument is not None or n.functor is not None:
         j = nodes[n.argument].link
-        if j is not None and nodes[j].complete and not flags[j]:
-            v = mu(v, nodes[j].formula)
+        if j is not None and (a := nodes[j].formula) is not None and not flags[j]:
+            v = mu(v, a)
         n = nodes[n.functor]
     return v
 
 
-def _sprout(tree: Tree, at: int, argument, functor) -> Tree:
-    """Grow the leaf with id at into an entity daughter with formula
-    argument, which takes the pointer, and a (type, formula) functor."""
-    base = len(tree.nodes)
-    nodes = list(tree.nodes)
+def _sprout(nodes: list, at: int, argument, functor) -> Tree:
+    """The tree of nodes, a caller's own copy of a node list, with the leaf
+    with id at grown into an entity daughter with formula argument, which
+    takes the pointer, and a (type, formula) functor, both appended."""
+    base = len(nodes)
     m = nodes[at]
     nodes[at] = Node(m.sem_type, m.formula, base, base + 1, m.link, m.parent)
     nodes.append(Node(E, argument, parent=at))
@@ -210,9 +216,9 @@ def _predict(tree: Tree) -> Tree:
     other tree comes back as it is.  Adjuncts come pre-grown from
     apply_link and arguments are entities, so in a parse this fires on
     the axiom only."""
-    p = tree.pointed
-    if p.requirement and p.sem_type is T and p.is_leaf:
-        return _sprout(tree, tree.pointer, None, (ET, None))
+    p = tree.nodes[tree.pointer]
+    if p.formula is None and p.sem_type is T and p.argument is None and p.functor is None:
+        return _sprout(list(tree.nodes), tree.pointer, None, (ET, None))
     return tree
 
 
@@ -232,7 +238,7 @@ def saturate(tree: Tree) -> Tree:
     proposition node its product too; the saturated tree shares the grown
     tree's flags, as the climb changes no leaf.
     """
-    if tree.pointed.requirement:
+    if tree.nodes[tree.pointer].formula is None:
         return _predict(tree)
     nodes, flags = list(tree.nodes), tree.open
     i, changed = tree.pointer, True
@@ -264,9 +270,9 @@ def canonical_view(tree: Tree) -> Tree:
     """
     t = _predict(tree)
     nodes, i = t.nodes, t.pointer
-    while (n := nodes[i]).complete and n.parent is not None:
+    while (n := nodes[i]).formula is not None and n.parent is not None:
         i = n.parent
-    while not (n.requirement and n.is_leaf) and t.open[i]:
+    while (n.formula is not None or n.argument is not None or n.functor is not None) and t.open[i]:
         i = next(c for c in (n.argument, n.functor, n.link) if c is not None and t.open[c])
         n = nodes[i]
     return t if i == t.pointer else t.with_pointer(i)
@@ -311,15 +317,20 @@ def apply_link(tree: Tree) -> Tree | None:
     an adjunct already.  The adjunct comes pre-grown: its argument daughter
     repeats the host's formula (the head noun is the clause's subject) and
     holds the pointer, its functor daughter awaits the predicate.  No
-    adjunct is ever a bare proposition requirement.
+    adjunct is ever a bare proposition requirement.  One copy of the node
+    list takes the host's link and the adjunct root, which _sprout grows
+    in place, so one Tree is built: the root at the old node count, the
+    subject copy after it, the predicate requirement last.
     """
-    at, p = tree.pointer, tree.pointed
-    if not (p.sem_type is E and p.complete and p.link is None):
+    at = tree.pointer
+    p = tree.nodes[at]
+    if not (p.sem_type is E and p.formula is not None and p.link is None):
         return None
-    base = len(tree.nodes)
-    hung = tree.with_node(at, Node(p.sem_type, p.formula, p.argument, p.functor, base, p.parent))
-    linked = Tree(hung.nodes + (Node(T, parent=at),), base)
-    return _sprout(linked, base, p.formula, (ET, None))
+    nodes = list(tree.nodes)
+    base = len(nodes)
+    nodes[at] = Node(E, p.formula, p.argument, p.functor, base, p.parent)
+    nodes.append(Node(T, parent=at))
+    return _sprout(nodes, base, p.formula, (ET, None))
 
 
 def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
@@ -332,20 +343,21 @@ def apply_lexical(tree: Tree, sense: Sense) -> Tree | None:
     carrying the sense's tensor.  A link sense is apply_link's: it hangs an
     adjunct tree off a finished entity node, or gives None.
     """
-    if sense.is_link:
+    ty = sense.sem_type
+    if ty is None:
         return apply_link(tree)
 
-    at, p = tree.pointer, tree.pointed
-    if not (p.requirement and p.is_leaf):
+    at = tree.pointer
+    p = tree.nodes[at]
+    if p.formula is not None or p.argument is not None or p.functor is not None:
         return None
-    ty = sense.sem_type
 
     if ty is p.sem_type:
         return tree.with_node(
             at, Node(p.sem_type, sense.tensor, p.argument, p.functor, p.link, p.parent))
 
     if ty.is_function and ty.res is p.sem_type and p.sem_type.is_function:
-        return _sprout(tree, at, None, (ty, sense.tensor))
+        return _sprout(list(tree.nodes), at, None, (ty, sense.tensor))
 
     return None
 
@@ -376,6 +388,14 @@ def advance_with_sense(state: ParseState, sense: Sense) -> list[Candidate]:
     return advance_with_senses(state, (sense,))[0]
 
 
+def _site(tree: Tree, sense: Sense, view: Tree | None = None) -> Tree:
+    """Where sense is tried on tree: a link sense where the pointer rests,
+    any other at canonical_view's open slot, view if the caller has it."""
+    if sense.sem_type is None:
+        return tree
+    return canonical_view(tree) if view is None else view
+
+
 def grow_by_type(candidates, senses):
     """How each group of senses grows each candidate, each group tried at
     one site.
@@ -384,24 +404,22 @@ def grow_by_type(candidates, senses):
     lists positions in senses, groups in order of their first member,
     members in order.  Whether a sense applies, and the tree it grows,
     depend only on its type, and apply_link ignores the sense, so a
-    candidate is grown once per group, by the group's first sense: a link
-    group where the pointer rests, any other at canonical_view's slot,
-    viewed once for all groups.  Yields (candidate, group, site, grown
-    tree) for each group that applies, candidate by candidate, groups in
-    order.  Nothing is saturated.
+    candidate is grown once per group, by the group's first sense, at its
+    site (_site), canonical_view's slot viewed once for all groups.
+    Yields (candidate, group, site, grown tree) for each group that
+    applies, candidate by candidate, groups in order.  Nothing is
+    saturated.
     """
-    if len(senses) == 1:  # most words: nothing to group
-        groups = ((0,),)
-    else:
-        by_type: dict = {}
-        for k, s in enumerate(senses):
-            by_type.setdefault(s.sem_type, []).append(k)
-        groups = by_type.values()
+    groups: dict = {}
+    for k, s in enumerate(senses):
+        groups.setdefault(s.sem_type, []).append(k)
     for cand in candidates:
         tree, view = cand.tree, None  # view: canonical_view(tree), on first need
-        for group in groups:
+        for group in groups.values():
             first = senses[group[0]]
-            site = tree if first.sem_type is None else (view := view or canonical_view(tree))
+            site = _site(tree, first, view)
+            if first.sem_type is not None:
+                view = site
             grown = apply_lexical(site, first)
             if grown is not None:
                 yield cand, group, site, grown
@@ -446,7 +464,8 @@ def parse_word(state: ParseState, word: str, lexicon: Lexicon) -> ParseState:
     """Consume one token, forking candidates over its senses.
 
     The senses are grown as advance_with_senses grows them; the one sense
-    of a word that has one is grown by grow_by_type directly.  Raises
+    of a word that has one is tried on each candidate at its site (_site)
+    with one apply_lexical call, and each tree it grows saturated.  Raises
     LexiconMiss for an unknown token and DeadEnd when no candidate
     survives; both carry the 1-based token position.
     """
@@ -454,10 +473,14 @@ def parse_word(state: ParseState, word: str, lexicon: Lexicon) -> ParseState:
     senses = lexicon.lookup(word)
     if not senses:
         raise LexiconMiss(word, position)
-    if len(senses) == 1:  # most words: no list per sense to fill and join
-        sid = (senses[0].sense_id,)
-        survivors = [Candidate(saturate(grown), cand.senses + sid)
-                     for cand, _, _, grown in grow_by_type(state.candidates, senses)]
+    if len(senses) == 1:  # most words: one growth per candidate, nothing to group
+        sense = senses[0]
+        sid = (sense.sense_id,)
+        survivors = []
+        for cand in state.candidates:
+            grown = apply_lexical(_site(cand.tree, sense), sense)
+            if grown is not None:
+                survivors.append(Candidate(saturate(grown), cand.senses + sid))
     else:
         grown = advance_with_senses(state, senses)
         survivors = [c for cands in grown for c in cands]

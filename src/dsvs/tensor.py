@@ -46,7 +46,10 @@ the least recently used dropped first (functools.lru_cache), so a
 process that meets ever new spaces does not keep every one of them
 alive.  A plan holds the result signature and the transposes and
 reshapes that lower the contraction to one np.dot, exactly as numpy's
-tensordot lowers it, so results are bit for bit those of tensordot.
+tensordot lowers it, so results are bit for bit those of tensordot.  A
+transpose that leaves every slot in place is recorded as none and left
+out, as an argument vector's always is: it would only make a view of the
+same memory, which the reshape reads as it reads the array itself.
 Pairs given as lists are looked up as tuples.  Pairs are checked when a
 plan is made; a pair list that is refused raises, and lru_cache keeps no
 call that raised.
@@ -444,7 +447,8 @@ def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
 
     The plan is (result signature, left transpose, left 2-d shape, right
     transpose, right 2-d shape, result shape): paired slots move to the end
-    of the left operand and the front of the right one.
+    of the left operand and the front of the right one.  A transpose that
+    moves no slot is None.
     """
     a_slots = []
     b_slots = []
@@ -470,12 +474,17 @@ def _plan(sa: Signature, sb: Signature, pairs: tuple) -> tuple:
     paired = prod(da[i] for i in a_slots)
     return (
         Signature(tuple(sa[k] for k in a_kept) + tuple(sb[k] for k in b_kept)),
-        tuple(a_kept + a_slots),
+        _moved(a_kept + a_slots),
         (prod(da[k] for k in a_kept), paired),
-        tuple(b_slots + b_kept),
+        _moved(b_slots + b_kept),
         (paired, prod(db[k] for k in b_kept)),
         tuple(da[k] for k in a_kept) + tuple(db[k] for k in b_kept),
     )
+
+
+def _moved(axes: list) -> tuple | None:
+    """A transpose's axis order, or None when it leaves every axis in place."""
+    return None if axes == sorted(axes) else tuple(axes)
 
 
 @lru_cache(maxsize=1024)
@@ -498,11 +507,12 @@ def contract(a: Tensor, b: Tensor, pairs: list[tuple[int, int]]) -> Tensor:
     except TypeError:  # pairs given as lists, which cannot be hashed
         plan = _planned(a.signature, b.signature, tuple(map(tuple, pairs)))
     signature, a_axes, a_shape, b_axes, b_shape, shape = plan
-    out = _apply(
-        np.dot,
-        a.array.transpose(a_axes).reshape(a_shape),
-        b.array.transpose(b_axes).reshape(b_shape),
-    )
+    x, y = a.array, b.array
+    if a_axes is not None:
+        x = x.transpose(a_axes)
+    if b_axes is not None:
+        y = y.transpose(b_axes)
+    out = _apply(np.dot, x.reshape(a_shape), y.reshape(b_shape))
     return _result(signature, out.reshape(shape))
 
 

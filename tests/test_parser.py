@@ -240,6 +240,29 @@ def test_open_flags_are_computed_at_most_once_per_candidate_and_sense(
     assert len(words) == 33 and max(passes) >= 50  # nodes
 
 
+def test_a_word_builds_at_most_two_trees_per_candidate_and_sense(traces_lex, monkeypatch):
+    # besides the tree a word grows, a verb builds the view that moves the
+    # pointer to its slot and a noun or who the saturated tree, as only
+    # they value a node; who hangs its pre-grown adjunct from one copy of
+    # the node list
+    built = []
+    real = Tree.__init__
+
+    def counting(tree, *args, **kwargs):
+        built.append(tree)
+        real(tree, *args, **kwargs)
+
+    monkeypatch.setattr(Tree, "__init__", counting)
+    words = ("john likes mary" + " who likes john" * 10).split()
+    state = parse_word(initial_state(), words[0], traces_lex)
+    for word in words[1:]:
+        forks = len(state.candidates) * len(traces_lex.lookup(word))
+        before = len(built)
+        state = parse_word(state, word, traces_lex)
+        assert len(built) - before <= 2 * forks, word
+    assert len(words) == 33 and len(state.candidates) == 1
+
+
 def test_contractions_per_word_follow_the_proposition_nodes_on_the_chain(
     traces_lex, parser_contractions
 ):

@@ -41,8 +41,9 @@ of daughter components, functor outermost, then every finished adjunct of
 the clause folded in.
 
 The contraction kernel lays each contraction out once per signature pair
-and applies the layout itself; the reference for it is numpy's tensordot,
-bit for bit.
+and applies the layout itself, leaving out a transpose that moves no slot;
+the reference for it is numpy's tensordot, bit for bit, on operands built
+by Tensor and on stacks, whose arrays are read-only transposed views.
 
 Tensor entries given as nested lists are checked in one flat pass; the
 reference is the recursive walk it replaced.  On regular and ragged
@@ -126,12 +127,14 @@ from dsvs.parser import (
 )
 from dsvs.semtypes import E, SpaceMap, T, application_slot, parse_type, signature_of
 from dsvs.tensor import (
+    Batch,
     Signature,
     Space,
     Tensor,
     TensorTuple,
     contract,
     mu,
+    stack,
     sum_tensors,
     tensors_of,
 )
@@ -706,24 +709,36 @@ KERNEL_SPACES = (
     Space("R", ("r1", "r2", "r3")),
     Space("U", ("u1",)),
 )
+# the slot stack puts two tensors on, equal to the one stack builds
+KERNEL_BATCH = Batch("batch", ("0", "1"))
 DTYPES = st.sampled_from([np.int64, np.float64])
 
 
 @st.composite
 def kernel_tensors(draw, spaces, dtype=DTYPES):
-    sig = Signature(tuple(spaces))
+    """A tensor over spaces; one whose last space is KERNEL_BATCH is a
+    stack, holding a read-only transposed view that is not C-contiguous
+    when another slot has more than one label."""
     dtype = draw(dtype)
+    if spaces and spaces[-1] == KERNEL_BATCH:
+        return stack([draw(kernel_tensors(spaces[:-1], st.just(dtype))) for _ in range(2)])
+    sig = Signature(tuple(spaces))
     entries = (st.integers(-10**6, 10**6) if dtype == np.int64
                else st.floats(-1e6, 1e6, allow_nan=False))
-    return Tensor(sig, draw(hnp.arrays(dtype, sig.dims, elements=entries)))
+    # every entry drawn on its own, not mostly one fill value, so a slot
+    # read in another order gives other entries
+    return Tensor(sig, draw(hnp.arrays(dtype, sig.dims, elements=entries, fill=st.nothing())))
 
 
 @st.composite
 def contractions(draw, dtype=DTYPES):
     """Two tensors of rank 0 to 3 and a valid pair list: any, none (the
-    outer product) or every slot of both (contraction to a scalar)."""
+    outer product) or every slot of both (contraction to a scalar).  A
+    slot may be a stack's batch slot, so an operand may be a stack, whose
+    array is a transposed view: a plan that leaves out an identity
+    transpose then reads an array that is not C-contiguous."""
     shape = draw(st.sampled_from(["any", "outer", "full"]))
-    spaces = st.sampled_from(KERNEL_SPACES)
+    spaces = st.sampled_from(KERNEL_SPACES + (KERNEL_BATCH,))
     a_spaces = draw(st.lists(spaces, max_size=3))
     if shape == "outer" or not a_spaces:
         paired = []
